@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <utility>
 
@@ -865,6 +866,70 @@ CacheCore::CacheCore(std::size_t capacity_blocks, CachePolicy policy)
       prot_cap_(std::max<std::size_t>(1, capacity_blocks * 3 / 4)),
       policy_(policy) {}
 
+void CacheCore::link_front(Entry& e, Segment& s) {
+  e.prot = &s == &protected_;
+  s.all.push_front(&e);
+  e.lru = s.all.begin();
+  if (!e.dirty) {
+    s.clean.push_front(&e);
+    e.clean = s.clean.begin();
+  }
+}
+
+void CacheCore::move_front(Entry& e, Segment& to) {
+  Segment& from = segment_of(e);
+  to.all.splice(to.all.begin(), from.all, e.lru);
+  // The hottest resident of `to` is also its hottest clean one.
+  if (!e.dirty) to.clean.splice(to.clean.begin(), from.clean, e.clean);
+  e.prot = &to == &protected_;
+}
+
+void CacheCore::unlink(Entry& e) {
+  Segment& s = segment_of(e);
+  if (!e.dirty) s.clean.erase(e.clean);
+  s.all.erase(e.lru);
+}
+
+void CacheCore::mark_dirty(Entry& e) {
+  if (e.dirty) return;
+  segment_of(e).clean.erase(e.clean);
+  e.dirty = true;
+}
+
+void CacheCore::mark_clean(Entry& e) {
+  if (!e.dirty) return;
+  Segment& s = segment_of(e);
+  auto pos = s.clean.end();
+  for (auto it = std::next(e.lru); it != s.all.end(); ++it)
+    if (!(*it)->dirty) {
+      pos = (*it)->clean;
+      break;
+    }
+  e.clean = s.clean.insert(pos, &e);
+  e.dirty = false;
+}
+
+void CacheCore::mark_clean_all(const CachingBackend* owner) {
+  for (Segment* s : {&probation_, &protected_}) {
+    auto pos = s->clean.end();  // clean node of the next colder clean entry
+    for (auto it = s->all.rbegin(); it != s->all.rend(); ++it) {
+      Entry& e = **it;
+      if (e.dirty && e.owner == owner) {
+        e.clean = s->clean.insert(pos, &e);
+        e.dirty = false;
+      }
+      if (!e.dirty) pos = e.clean;
+    }
+  }
+}
+
+std::size_t CacheCore::erase(Entry& e) {
+  const std::size_t slot = e.slot;
+  unlink(e);
+  entries_.erase(e.key);
+  return slot;
+}
+
 SharedCacheHandle make_shared_cache(std::size_t capacity_blocks,
                                     CachePolicy policy) {
   return std::make_shared<CacheCore>(capacity_blocks, policy);
@@ -919,38 +984,23 @@ CachingBackend::Entry* CachingBackend::find(std::uint64_t block) {
   return it == core_->entries_.end() ? nullptr : &it->second;
 }
 
-void CachingBackend::touch(Entry& e, std::uint64_t key) {
+void CachingBackend::touch(Entry& e) {
   CacheCore& c = *core_;
-  if (c.policy_ == CachePolicy::kLru) {
-    // v1 single-list LRU: probation_ doubles as the one list.
-    c.probation_.erase(e.lru);
-    c.probation_.push_front(key);
-    e.lru = c.probation_.begin();
-    return;
-  }
-  if (e.prot) {
-    c.protected_.erase(e.lru);
-    c.protected_.push_front(key);
-    e.lru = c.protected_.begin();
+  // kLru keeps its single list in probation_; a protected resident stays
+  // protected.  Either way the entry just moves to its segment's front.
+  if (c.policy_ == CachePolicy::kLru || e.prot) {
+    c.move_front(e, c.segment_of(e));
     return;
   }
   // Re-reference of a probation resident: promote.  This is the admission
   // gate -- a one-pass scan touches each block once and never gets here, so
   // scan traffic can only churn probation while the re-referenced working
   // set sits protected.
-  c.probation_.erase(e.lru);
-  c.protected_.push_front(key);
-  e.lru = c.protected_.begin();
-  e.prot = true;
-  if (c.protected_.size() > c.prot_cap_) {
+  c.move_front(e, c.protected_);
+  if (c.protected_.all.size() > c.prot_cap_) {
     // Demote the protected LRU to probation-front: it outlived its
     // re-reference credit but still outranks a never-retouched scan block.
-    const std::uint64_t demoted = c.protected_.back();
-    c.protected_.pop_back();
-    Entry& d = c.entries_.at(demoted);
-    c.probation_.push_front(demoted);
-    d.lru = c.probation_.begin();
-    d.prot = false;
+    c.move_front(*c.protected_.all.back(), c.probation_);
   }
 }
 
@@ -988,7 +1038,7 @@ Status CachingBackend::write_back_run(std::uint64_t key) {
   OEM_RETURN_IF_ERROR(owner->inner_->write_many(ids, owner->wb_stage_));
   // Only mark clean once the write landed: a transient failure above leaves
   // the dirty state (and the data) untouched for the device's retry.
-  for (std::uint64_t k = lo; k <= hi; ++k) c.entries_.at(k).dirty = false;
+  for (std::uint64_t k = lo; k <= hi; ++k) c.mark_clean(c.entries_.at(k));
   owner->writebacks_.fetch_add(n, std::memory_order_relaxed);
   owner->writeback_ops_.fetch_add(1, std::memory_order_relaxed);
   return Status::Ok();
@@ -1001,19 +1051,16 @@ Status CachingBackend::evict_one(std::size_t* slot) {
   // batch-pinned entries (see do_write_many) and dirty entries whose owner
   // view has begun-but-incomplete split-phase ops -- a synchronous
   // write-back through that inner would land mid-flight inside its FIFO.
-  for (std::list<std::uint64_t>* seg : {&c.probation_, &c.protected_}) {
-    for (auto it = seg->rbegin(); it != seg->rend(); ++it) {
-      const std::uint64_t victim = *it;
-      Entry& e = c.entries_.at(victim);
+  for (CacheCore::Segment* seg : {&c.probation_, &c.protected_}) {
+    for (auto it = seg->all.rbegin(); it != seg->all.rend(); ++it) {
+      Entry& e = **it;
       if (e.pinned) continue;
       if (e.dirty && !e.owner->pending_.empty()) continue;
-      if (e.dirty) OEM_RETURN_IF_ERROR(write_back_run(victim));
+      if (e.dirty) OEM_RETURN_IF_ERROR(write_back_run(e.key));
       if (seg == &c.probation_ && c.policy_ == CachePolicy::kScanResistant)
         e.owner->admission_rejects_.fetch_add(1, std::memory_order_relaxed);
       e.owner->evictions_.fetch_add(1, std::memory_order_relaxed);
-      *slot = e.slot;
-      seg->erase(e.lru);
-      c.entries_.erase(victim);
+      *slot = c.erase(e);
       return Status::Ok();
     }
   }
@@ -1031,25 +1078,25 @@ Result<CachingBackend::Entry*> CachingBackend::insert(std::uint64_t block) {
   } else {
     OEM_RETURN_IF_ERROR(evict_one(&slot));
   }
+  return admit(block, slot);
+}
+
+CachingBackend::Entry* CachingBackend::admit(std::uint64_t block, std::size_t slot) {
+  CacheCore& c = *core_;
   const std::uint64_t key = key_of(block);
-  c.probation_.push_front(key);
-  Entry e;
+  Entry& e = c.entries_.emplace(key, Entry{}).first->second;
+  e.key = key;
   e.owner = this;
   e.slot = slot;
-  e.dirty = false;
-  e.prot = false;
-  e.lru = c.probation_.begin();
-  return &c.entries_.emplace(key, e).first->second;
+  c.link_front(e, c.probation_);
+  return &e;
 }
 
 void CachingBackend::erase_entry(std::uint64_t key) {
   CacheCore& c = *core_;
   auto it = c.entries_.find(key);
   if (it == c.entries_.end()) return;
-  Entry& e = it->second;
-  (e.prot ? c.protected_ : c.probation_).erase(e.lru);
-  c.free_slots_.push_back(e.slot);
-  c.entries_.erase(it);
+  c.free_slots_.push_back(c.erase(it->second));
 }
 
 void CachingBackend::drop_view() {
@@ -1098,7 +1145,7 @@ Status CachingBackend::flush_impl() {
                 slot_data(c.entries_.at(dirty_keys[i]).slot), bw * sizeof(Word));
   }
   OEM_RETURN_IF_ERROR(inner_->write_many(ids, wb_stage_));
-  for (std::uint64_t k : dirty_keys) c.entries_.at(k).dirty = false;
+  c.mark_clean_all(this);
   writebacks_.fetch_add(dirty_keys.size(), std::memory_order_relaxed);
   writeback_ops_.fetch_add(1, std::memory_order_relaxed);
   return inner_->flush();
@@ -1142,7 +1189,7 @@ Status CachingBackend::do_read_many(std::span<const std::uint64_t> blocks,
     Entry* e = find(blocks[i]);
     if (e != nullptr) {
       std::memcpy(out.data() + i * bw, slot_data(e->slot), bw * sizeof(Word));
-      touch(*e, key_of(blocks[i]));
+      touch(*e);
       ++op_hits;
     } else {
       miss_ids.push_back(blocks[i]);
@@ -1212,7 +1259,7 @@ Status CachingBackend::do_write_many(std::span<const std::uint64_t> blocks,
     // capacity argument: unique <= cap_ guarantees enough of them).
     for (std::size_t i = 0; i < blocks.size(); ++i)
       if (Entry* e = find(blocks[i])) {
-        touch(*e, key_of(blocks[i]));
+        touch(*e);
         e->pinned = true;
       }
     // Phase 1b: secure a slot per fresh id -- the only failure point.
@@ -1252,10 +1299,10 @@ Status CachingBackend::do_write_many(std::span<const std::uint64_t> blocks,
       assert(inserted.ok());
       e = *inserted;
     } else {
-      touch(*e, key_of(blocks[i]));
+      touch(*e);
     }
     std::memcpy(slot_data(e->slot), in.data() + i * bw, bw * sizeof(Word));
-    e->dirty = true;
+    c.mark_dirty(*e);
     ++op_absorbed;
   }
   absorbed_.fetch_add(op_absorbed, std::memory_order_relaxed);
@@ -1288,7 +1335,7 @@ Status CachingBackend::do_begin_read_many(std::span<const std::uint64_t> blocks,
     Entry* e = find(blocks[i]);
     if (e != nullptr) {
       std::memcpy(out.data() + i * bw, slot_data(e->slot), bw * sizeof(Word));
-      touch(*e, key_of(blocks[i]));
+      touch(*e);
       ++op.hits;
     } else {
       op.miss_ids.push_back(blocks[i]);
@@ -1318,6 +1365,7 @@ Status CachingBackend::do_begin_read_many(std::span<const std::uint64_t> blocks,
 Status CachingBackend::do_begin_write_many(std::span<const std::uint64_t> blocks,
                                            std::span<const Word> in) {
   std::lock_guard<std::mutex> core_lk(core_->mu_);
+  CacheCore& c = *core_;
   const std::size_t bw = block_words();
   PendingOp op;
   std::vector<std::uint64_t> around_ids;
@@ -1350,27 +1398,19 @@ Status CachingBackend::do_begin_write_many(std::span<const std::uint64_t> blocks
     op.has_frame = true;
     // Remembered so read completions won't grant residency to a block whose
     // write-around frame is still in flight below.
+    for (std::uint64_t b : around_ids) ++around_in_flight_[b];
     op.miss_ids = std::move(around_ids);
   }
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     Entry* e = find(blocks[i]);
     if (e == nullptr) continue;  // written around above
     std::memcpy(slot_data(e->slot), in.data() + i * bw, bw * sizeof(Word));
-    e->dirty = true;
-    touch(*e, key_of(blocks[i]));
+    c.mark_dirty(*e);
+    touch(*e);
     ++op.absorbed;
   }
   pending_.push_back(std::move(op));
   return Status::Ok();
-}
-
-bool CachingBackend::write_around_in_flight(std::uint64_t block) const {
-  for (const PendingOp& p : pending_) {
-    if (p.is_read) continue;
-    for (std::uint64_t b : p.miss_ids)
-      if (b == block) return true;
-  }
-  return false;
 }
 
 Status CachingBackend::do_complete_oldest() {
@@ -1383,6 +1423,14 @@ Status CachingBackend::do_complete_oldest_locked() {
   CacheCore& c = *core_;
   PendingOp op = std::move(pending_.front());
   pending_.pop_front();
+  if (!op.is_read) {
+    // The write retires (landed or failed): its blocks leave the
+    // write-around set.
+    for (std::uint64_t b : op.miss_ids) {
+      auto it = around_in_flight_.find(b);
+      if (--it->second == 0) around_in_flight_.erase(it);
+    }
+  }
   Status st;
   if (op.has_frame) st = inner_->complete_oldest();
   const std::size_t bw = block_words();
@@ -1396,51 +1444,37 @@ Status CachingBackend::do_complete_oldest_locked() {
     // the synchronous read path's insert, deferred to the moment the bytes
     // exist.  See the guards in the section comment above: no inner I/O
     // (free slot or clean victim only) and no block with a write-around
-    // frame still in flight.  Victims come from the probation tail first --
-    // a fetched miss is itself probationary, so it never displaces the
-    // protected set.
+    // frame still in flight.  The victim is the coldest clean resident,
+    // probation first -- a fetched miss is itself probationary, so it never
+    // displaces the protected set -- and the per-segment clean lists reach
+    // it without visiting a dirty entry.
     for (std::size_t j = 0; j < op.miss_ids.size(); ++j) {
       const std::uint64_t b = op.miss_ids[j];
       if (find(b) != nullptr) continue;  // duplicate id or already granted
       if (write_around_in_flight(b)) continue;
       std::size_t slot = 0;
-      bool have_slot = false;
       if (!c.free_slots_.empty()) {
         slot = c.free_slots_.back();
         c.free_slots_.pop_back();
-        have_slot = true;
       } else {
-        for (std::list<std::uint64_t>* seg : {&c.probation_, &c.protected_}) {
-          for (auto it = seg->rbegin(); it != seg->rend(); ++it) {
-            Entry& v = c.entries_.at(*it);
-            if (v.dirty || v.pinned) continue;
-            slot = v.slot;
-            v.owner->evictions_.fetch_add(1, std::memory_order_relaxed);
-            c.entries_.erase(*it);
-            seg->erase(std::next(it).base());
-            have_slot = true;
-            break;
-          }
-          if (have_slot) break;
+        CacheCore::Segment* seg = !c.probation_.clean.empty()   ? &c.probation_
+                                  : !c.protected_.clean.empty() ? &c.protected_
+                                                                : nullptr;
+        if (seg == nullptr) {
+          // Every resident block is dirty: granting residency would need
+          // inner I/O mid-FIFO.  Decline -- the bytes are already in the
+          // caller's hands, only the cache copy is skipped.
+          admission_rejects_.fetch_add(1, std::memory_order_relaxed);
+          continue;
         }
+        Entry& v = *seg->clean.back();
+        // Pins exist only inside do_write_many, which holds the core lock
+        // and completes its view's pending ops before pinning.
+        assert(!v.pinned);
+        v.owner->evictions_.fetch_add(1, std::memory_order_relaxed);
+        slot = c.erase(v);
       }
-      if (!have_slot) {
-        // Every resident block is dirty or pinned: granting residency would
-        // need inner I/O mid-FIFO.  Decline -- the bytes are already in the
-        // caller's hands, only the cache copy is skipped.
-        admission_rejects_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      const std::uint64_t key = key_of(b);
-      c.probation_.push_front(key);
-      Entry e;
-      e.owner = this;
-      e.slot = slot;
-      e.dirty = false;
-      e.prot = false;
-      e.pinned = false;
-      e.lru = c.probation_.begin();
-      c.entries_.emplace(key, e);
+      admit(b, slot);
       const Word* src = op.staging.empty() ? op.out + op.miss_pos[j] * bw
                                            : op.staging.data() + j * bw;
       std::memcpy(slot_data(slot), src, bw * sizeof(Word));

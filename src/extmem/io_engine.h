@@ -583,14 +583,44 @@ class CacheCore {
 
  private:
   friend class CachingBackend;
+  struct Entry;
+  using EntryList = std::list<Entry*>;
   struct Entry {
+    std::uint64_t key = 0;            // view<<48 | block (its entries_ key)
     CachingBackend* owner = nullptr;  // view that caches (and writes back) it
     std::size_t slot = 0;
     bool dirty = false;
     bool prot = false;    // resident in the protected segment
     bool pinned = false;  // mid-batch eviction shield (see do_write_many)
-    std::list<std::uint64_t>::iterator lru;  // position in its segment list
+    EntryList::iterator lru;    // position in its segment's `all` list
+    EntryList::iterator clean;  // position in its segment's `clean` list
+                                // (meaningful only while !dirty)
   };
+  /// One recency segment.  `clean` is the sub-sequence of `all` holding the
+  /// clean residents, in the same order, so the coldest victim that needs no
+  /// inner I/O is `clean.back()` -- found without visiting a dirty entry.
+  struct Segment {
+    EntryList all;    // front = most recently admitted / re-referenced
+    EntryList clean;  // the clean members of `all`, same relative order
+  };
+
+  Segment& segment_of(const Entry& e) { return e.prot ? protected_ : probation_; }
+  /// Links a new entry at the hot end of `s` (and of its clean list).
+  void link_front(Entry& e, Segment& s);
+  /// Moves a resident to the hot end of `to` (its own segment or the other
+  /// one), updating e.prot.  Splices: no allocation.
+  void move_front(Entry& e, Segment& to);
+  /// Unlinks a resident from its segment (both lists).
+  void unlink(Entry& e);
+  void mark_dirty(Entry& e);
+  /// Re-inserts a dirty entry into its segment's clean list in recency
+  /// order: before the next colder clean resident, found by walking toward
+  /// the cold end.  Only write-backs call it (they already pay inner I/O).
+  void mark_clean(Entry& e);
+  /// mark_clean for every dirty entry of `owner`, in one cold-to-hot pass.
+  void mark_clean_all(const CachingBackend* owner);
+  /// Unlinks `e` and erases it from the index; returns its slot.
+  std::size_t erase(Entry& e);
 
   const std::size_t cap_;
   const std::size_t prot_cap_;  // protected-segment capacity (~3/4 of cap_)
@@ -600,9 +630,11 @@ class CacheCore {
   std::size_t block_words_ = 0;  // fixed by the first attached view
   std::vector<Word> slab_;       // cap_ * block_words_ words
   std::vector<std::size_t> free_slots_;
-  std::unordered_map<std::uint64_t, Entry> entries_;  // key = view<<48 | block
-  std::list<std::uint64_t> probation_;   // front = most recently admitted
-  std::list<std::uint64_t> protected_;   // front = most recently re-referenced
+  /// key = view<<48 | block.  Element references stay valid across rehash,
+  /// so the segment lists hold Entry pointers.
+  std::unordered_map<std::uint64_t, Entry> entries_;
+  Segment probation_;  // kLru keeps its single list here
+  Segment protected_;
   std::uint64_t next_view_id_ = 0;
 };
 
@@ -625,8 +657,11 @@ SharedCacheHandle make_shared_cache(std::size_t capacity_blocks,
 /// split-phase face is forwarded (max_inflight of the inner store), keeping
 /// the wire pipelining of a remote stack: begun batches serve/absorb their
 /// cached blocks at begin time and forward the remainder (read misses,
-/// writes to uncached blocks) as one in-flight inner frame; residency only
-/// changes on the synchronous path, so recovery-by-replay stays trivial.
+/// writes to uncached blocks) as one in-flight inner frame.  Begins never
+/// change residency, so recovery-by-replay stays trivial; a read's
+/// completion grants its misses residency when that needs no inner I/O (a
+/// free slot or the coldest clean resident as victim) and declines it
+/// otherwise -- a constant amount of work per block either way.
 ///
 /// Placement (Session::Builder::cache enforces this order): ABOVE encryption
 /// (the cache must hold each plaintext block exactly once -- an
@@ -765,22 +800,24 @@ class CachingBackend : public StorageBackend {
   /// Policy-dependent re-reference: kLru fronts the single list; segmented
   /// LRU promotes a probation entry to the protected segment (demoting the
   /// protected LRU back to probation when that segment is full).
-  void touch(Entry& e, std::uint64_t key);
+  void touch(Entry& e);
   /// Frees one slot by evicting the coldest ELIGIBLE entry -- probation
-  /// back-to-front first, then protected -- skipping dirty entries whose
-  /// owner view has begun-but-incomplete split-phase ops (writing those
-  /// back would corrupt that view's inner FIFO mid-flight).  A dirty
-  /// victim is written back FIRST through its OWNER's inner store --
-  /// together with the maximal run of consecutive cached dirty neighbors,
-  /// coalesced into one batched inner write (the neighbors stay cached,
-  /// now clean) -- and the entry is only erased once that write landed, so
-  /// a transient write-back failure surfaces as the op's error with no
-  /// data-loss window and the device's retry re-runs it from unchanged
-  /// state.
+  /// back-to-front first, then protected -- skipping pinned entries and
+  /// dirty entries whose owner view has begun-but-incomplete split-phase
+  /// ops (writing those back would corrupt that view's inner FIFO
+  /// mid-flight).  A dirty victim is written back FIRST through its OWNER's
+  /// inner store -- together with the maximal run of consecutive cached
+  /// dirty neighbors, coalesced into one batched inner write (the neighbors
+  /// stay cached, now clean) -- and the entry is only erased once that
+  /// write landed, so a transient write-back failure surfaces as the op's
+  /// error with no data-loss window and the device's retry re-runs it from
+  /// unchanged state.
   Status evict_one(std::size_t* slot);
   /// Slot for `block` (free or evicted); inserts this view's entry (clean,
   /// probation-front: admission to the protected segment takes a re-touch).
   Result<Entry*> insert(std::uint64_t block);
+  /// Indexes this view's `block` in `slot` as a clean probation-front entry.
+  Entry* admit(std::uint64_t block, std::size_t slot);
   /// Writes back the maximal consecutive run of cached dirty blocks around
   /// `key` (same view by construction: keys namespace the id space) in one
   /// coalesced write_many through the owning view's inner store, marking
@@ -789,7 +826,9 @@ class CachingBackend : public StorageBackend {
   /// flush() minus the failure latching (caller holds core_->mu_).
   Status flush_impl();
   /// True when a still-pending begun write's around-frame targets `block`.
-  bool write_around_in_flight(std::uint64_t block) const;
+  bool write_around_in_flight(std::uint64_t block) const {
+    return !around_in_flight_.empty() && around_in_flight_.count(block) != 0;
+  }
   /// Erases `key`'s entry from its segment list + the index, freeing its
   /// slot into the core's free list.
   void erase_entry(std::uint64_t key);
@@ -803,6 +842,9 @@ class CachingBackend : public StorageBackend {
   std::uint64_t view_id_ = 0;
   Status init_status_;
   std::deque<PendingOp> pending_;   // this view's begun ops (guarded by core mu)
+  /// Counted set of the block ids targeted by pending_'s write-around
+  /// frames: filled at begin, drained when the write op retires.
+  std::unordered_map<std::uint64_t, std::uint32_t> around_in_flight_;
   std::vector<Word> wb_stage_;      // write-back / write-around gather scratch
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};

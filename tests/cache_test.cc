@@ -5,15 +5,22 @@
 // encryption), and the Session::Builder::cache validation satellites.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <list>
+#include <map>
 #include <memory>
+#include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "api/session.h"
 #include "extmem/backend.h"
 #include "extmem/io_engine.h"
 #include "extmem/remote.h"
+#include "rng/random.h"
 #include "server/server.h"
 #include "test_util.h"
 
@@ -328,12 +335,504 @@ TEST(CachingBackend, SplitPhaseMissesGainResidencyAtCompletion) {
   ASSERT_TRUE(cache_owner->complete_oldest().ok());  // the write-around
   ASSERT_TRUE(cache_owner->complete_oldest().ok());  // the read
   EXPECT_EQ(readback, wdata) << "FIFO: the read began after the write";
-  // Block 4 may have been skipped (write-around in flight at the read's
-  // completion is impossible here since FIFO completed the write first --
-  // but residency, if granted, must hold the POST-write bytes).
+  // FIFO completed the write first, so the guard is not reached here
+  // (WriteAroundInFlightDeniesResidency reaches it) -- but residency, if
+  // granted, must hold the POST-write bytes.
   std::vector<Word> again(kBw, 0);
   ASSERT_TRUE(cache_owner->read(4, again).ok());
   EXPECT_EQ(again, wdata);
+}
+
+TEST(CachingBackend, WriteAroundInFlightDeniesResidency) {
+  // A read miss of b is begun, then a write-around of b: the read's bytes
+  // predate the write, so its completion must not cache them -- the copy
+  // would be stale the moment the write lands below.
+  CacheRig rig(8);
+  ASSERT_TRUE(rig.backend->resize(8).ok());
+  ASSERT_TRUE(rig.counter->inner().write(3, rig.block(11)).ok());
+  const std::vector<std::uint64_t> ids = {3};
+  std::vector<Word> out(kBw, 0);
+  ASSERT_TRUE(rig.backend->begin_read_many(ids, out).ok());
+  const std::vector<Word> fresh = rig.block(22);
+  ASSERT_TRUE(rig.backend->begin_write_many(ids, fresh).ok());  // 3 is uncached
+
+  ASSERT_TRUE(rig.backend->complete_oldest().ok());  // the read
+  EXPECT_EQ(out, rig.block(11)) << "the read began before the write";
+  EXPECT_EQ(rig.cache->cached_blocks(), 0u)
+      << "a block with a write-around in flight gained residency";
+
+  ASSERT_TRUE(rig.backend->complete_oldest().ok());  // the write-around
+  std::vector<Word> again(kBw, 0);
+  ASSERT_TRUE(rig.backend->read(3, again).ok());
+  EXPECT_EQ(again, fresh);
+}
+
+/// Begins and completes one read of uncached `block` through the split-phase
+/// face, returning the inner ops it cost.
+std::uint64_t split_phase_miss(CacheRig& rig, std::uint64_t block) {
+  const std::uint64_t before = rig.counter->ops();
+  const std::uint64_t ids[1] = {block};
+  std::vector<Word> out(kBw);
+  EXPECT_TRUE(rig.backend->begin_read_many(ids, out).ok());
+  EXPECT_TRUE(rig.backend->complete_oldest().ok());
+  return rig.counter->ops() - before;
+}
+
+TEST(CachingBackend, SplitPhaseCompletionEvictsTheColdestCleanResident) {
+  // Probation, hot to cold: 3 (clean), 2 (dirty), 1 (clean), 0 (dirty).  The
+  // coldest resident is dirty; the completion must pass over it to clean 1
+  // and write nothing back.
+  CacheRig rig(4);
+  ASSERT_TRUE(rig.backend->resize(16).ok());
+  std::vector<Word> out(kBw);
+  ASSERT_TRUE(rig.backend->write(0, rig.block(100)).ok());
+  ASSERT_TRUE(rig.backend->read(1, out).ok());
+  ASSERT_TRUE(rig.backend->write(2, rig.block(102)).ok());
+  ASSERT_TRUE(rig.backend->read(3, out).ok());
+  const CacheStats before = rig.cache->stats();
+
+  EXPECT_EQ(split_phase_miss(rig, 8), 1u) << "only the miss's own frame";
+  EXPECT_EQ(rig.cache->stats().evictions, before.evictions + 1);
+  EXPECT_EQ(rig.cache->stats().writebacks, before.writebacks);
+  EXPECT_EQ(rig.cache->stats().admission_rejects, before.admission_rejects);
+  EXPECT_EQ(rig.cache->cached_blocks(), 4u);
+
+  // 0, 2, 3 and 8 are resident (hits, no inner op); 1 was the victim.
+  const std::uint64_t ops = rig.counter->ops();
+  for (std::uint64_t b : {0, 2, 3, 8}) ASSERT_TRUE(rig.backend->read(b, out).ok());
+  EXPECT_EQ(rig.counter->ops(), ops);
+  EXPECT_EQ(rig.cache->stats().hits, before.hits + 4);
+  ASSERT_TRUE(rig.backend->read(1, out).ok());
+  EXPECT_EQ(rig.cache->stats().misses, before.misses + 2);
+}
+
+TEST(CachingBackend, SplitPhaseCompletionFallsBackToTheProtectedCleanTail) {
+  // Every probation resident is dirty; the one clean block sits in the
+  // protected segment and is the victim.
+  CacheRig rig(4);
+  ASSERT_TRUE(rig.backend->resize(16).ok());
+  std::vector<Word> out(kBw);
+  ASSERT_TRUE(rig.backend->read(0, out).ok());
+  ASSERT_TRUE(rig.backend->read(0, out).ok());  // promoted, clean
+  for (std::uint64_t b = 1; b < 4; ++b)
+    ASSERT_TRUE(rig.backend->write(b, rig.block(b)).ok());
+  const CacheStats before = rig.cache->stats();
+
+  EXPECT_EQ(split_phase_miss(rig, 9), 1u);
+  EXPECT_EQ(rig.cache->stats().evictions, before.evictions + 1);
+  EXPECT_EQ(rig.cache->stats().writebacks, before.writebacks);
+  ASSERT_TRUE(rig.backend->read(0, out).ok());
+  EXPECT_EQ(rig.cache->stats().misses, before.misses + 2) << "0 was not the victim";
+}
+
+TEST(CachingBackend, SplitPhaseCompletionDeclinesWhenEveryResidentIsDirty) {
+  CacheRig rig(4);
+  ASSERT_TRUE(rig.backend->resize(16).ok());
+  for (std::uint64_t b = 0; b < 4; ++b)
+    ASSERT_TRUE(rig.backend->write(b, rig.block(b)).ok());
+  const CacheStats before = rig.cache->stats();
+
+  EXPECT_EQ(split_phase_miss(rig, 8), 1u) << "a declined grant must do no inner I/O";
+  EXPECT_EQ(rig.cache->stats().admission_rejects, before.admission_rejects + 1);
+  EXPECT_EQ(rig.cache->stats().evictions, before.evictions);
+  EXPECT_EQ(rig.cache->stats().writebacks, before.writebacks);
+  EXPECT_EQ(rig.cache->cached_blocks(), 4u);
+}
+
+TEST(CachingBackend, SharedCoreCompletionNeverEvictsAnotherViewsDirtyBlock) {
+  auto core = make_shared_cache(2);
+  auto a_owner = caching_backend(mem_backend(), core)(kBw);
+  auto b_owner = caching_backend(mem_backend(), core)(kBw);
+  auto* a = dynamic_cast<CachingBackend*>(a_owner.get());
+  auto* b = dynamic_cast<CachingBackend*>(b_owner.get());
+  ASSERT_TRUE(a_owner->resize(8).ok());
+  ASSERT_TRUE(b_owner->resize(8).ok());
+  std::vector<Word> out(kBw);
+  const std::vector<Word> a_data(kBw, 7);
+
+  // A's dirty block is the coldest resident; B's clean block is the victim.
+  ASSERT_TRUE(a_owner->write(0, a_data).ok());
+  ASSERT_TRUE(b_owner->read(5, out).ok());
+  const std::uint64_t six[1] = {6};
+  ASSERT_TRUE(b_owner->begin_read_many(six, out).ok());
+  ASSERT_TRUE(b_owner->complete_oldest().ok());
+  EXPECT_EQ(b->stats().evictions, 1u);
+  EXPECT_EQ(a->stats().evictions, 0u);
+  EXPECT_EQ(a->stats().writebacks, 0u);
+
+  // B dirties its 6 through the split-phase face; with only dirty blocks
+  // left, B's next grant is declined instead of writing A's block back.
+  ASSERT_TRUE(b_owner->begin_write_many(six, std::vector<Word>(kBw, 8)).ok());
+  const std::uint64_t seven[1] = {7};
+  ASSERT_TRUE(b_owner->begin_read_many(seven, out).ok());
+  ASSERT_TRUE(b_owner->complete_oldest().ok());
+  ASSERT_TRUE(b_owner->complete_oldest().ok());
+  EXPECT_EQ(b->stats().admission_rejects, 1u);
+  EXPECT_EQ(a->stats().evictions, 0u);
+  EXPECT_EQ(a->stats().writebacks, 0u);
+  EXPECT_EQ(core->cached_blocks(), 2u);
+  std::vector<Word> raw(kBw, 1);
+  ASSERT_TRUE(a->inner().read(0, raw).ok());
+  EXPECT_EQ(raw, std::vector<Word>(kBw, 0)) << "A's dirty block was written back";
+  ASSERT_TRUE(a_owner->read(0, out).ok());
+  EXPECT_EQ(out, a_data);
+  EXPECT_EQ(a->stats().hits, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Differential test against a reference model.
+
+using Blk = std::vector<Word>;
+
+/// The cache's decisions, spelled out the slow way: segments are lists of
+/// keys, and every victim search walks them from the cold end.  Inner stores
+/// are mem (begun frames apply at begin, in order), one per view.
+class RefCache {
+ public:
+  struct Op {
+    std::vector<std::uint64_t> around;  // a write's write-around ids
+    std::vector<std::uint64_t> miss;    // a read's misses
+    std::vector<Blk> fetched;           // the misses' bytes, read at begin
+    std::vector<Blk> out;               // a read's expected bytes
+    CacheStats credit;                  // credited at completion
+  };
+  struct View {
+    std::vector<Blk> store;
+    std::deque<Op> pending;
+    std::deque<std::vector<Blk>> done;  // completed ops' expected bytes, FIFO
+    CacheStats st;
+  };
+  RefCache(std::size_t cap, CachePolicy policy, int views, std::size_t nblocks)
+      : cap_(cap), prot_cap_(std::max<std::size_t>(1, cap * 3 / 4)),
+        lru_(policy == CachePolicy::kLru), v_(views) {
+    for (View& w : v_) w.store.assign(nblocks, Blk(kBw, 0));
+  }
+  View& view(int v) { return v_[v]; }
+  std::size_t residents() const { return ents_.size(); }
+
+  void begin_read(int v, const std::vector<std::uint64_t>& ids) {
+    View& w = v_[v];
+    Op op;
+    for (std::uint64_t b : ids) {
+      if (Ent* e = find(v, b)) {
+        op.out.push_back(e->data);
+        touch(key(v, b));
+        ++op.credit.hits;
+      } else {
+        op.miss.push_back(b);
+        op.fetched.push_back(w.store[b]);
+        op.out.push_back(w.store[b]);
+        ++op.credit.misses;
+      }
+    }
+    w.pending.push_back(std::move(op));
+  }
+  void begin_write(int v, const std::vector<std::uint64_t>& ids, const std::vector<Blk>& in) {
+    View& w = v_[v];
+    Op op;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (Ent* e = find(v, ids[i])) {
+        e->data = in[i];
+        e->dirty = true;
+        touch(key(v, ids[i]));
+        ++op.credit.absorbed_writes;
+      } else {
+        op.around.push_back(ids[i]);
+        w.store[ids[i]] = in[i];
+      }
+    }
+    w.pending.push_back(std::move(op));
+  }
+  void complete(int v) {
+    View& w = v_[v];
+    if (w.pending.empty()) return;
+    const Op op = std::move(w.pending.front());
+    w.pending.pop_front();
+    w.done.push_back(op.out);
+    w.st.hits += op.credit.hits;
+    w.st.misses += op.credit.misses;
+    w.st.absorbed_writes += op.credit.absorbed_writes;
+    for (std::size_t j = 0; j < op.miss.size(); ++j) {
+      if (find(v, op.miss[j]) != nullptr) continue;
+      bool around = false;
+      for (const Op& p : w.pending)
+        around = around || std::count(p.around.begin(), p.around.end(), op.miss[j]) > 0;
+      if (around) continue;
+      if (ents_.size() == cap_ && !evict(/*clean_only=*/true, {})) {
+        ++w.st.admission_rejects;
+        continue;
+      }
+      insert(v, op.miss[j], op.fetched[j]);
+    }
+  }
+  bool read(int v, const std::vector<std::uint64_t>& ids, std::vector<Blk>* out) {
+    drain(v);
+    View& w = v_[v];
+    std::vector<std::uint64_t> miss;
+    out->clear();
+    std::uint64_t hits = 0;
+    for (std::uint64_t b : ids) {
+      out->push_back(w.store[b]);
+      if (Ent* e = find(v, b)) {
+        out->back() = e->data;
+        touch(key(v, b));
+        ++hits;
+      } else {
+        miss.push_back(b);
+      }
+    }
+    for (std::uint64_t b : miss) {
+      if (find(v, b) != nullptr) continue;
+      const Blk fetched = w.store[b];
+      if (ents_.size() == cap_ && !evict(false, {})) return false;
+      insert(v, b, fetched);
+    }
+    w.st.hits += hits;
+    w.st.misses += miss.size();
+    return true;
+  }
+  bool write(int v, const std::vector<std::uint64_t>& ids, const std::vector<Blk>& in) {
+    drain(v);
+    View& w = v_[v];
+    std::set<std::uint64_t> unique, pinned;
+    std::size_t fresh = 0;
+    for (std::uint64_t b : ids)
+      if (unique.insert(b).second && find(v, b) == nullptr) ++fresh;
+    const bool fits = unique.size() <= cap_;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (fits && find(v, ids[i]) != nullptr) {
+        touch(key(v, ids[i]));
+        pinned.insert(key(v, ids[i]));
+      } else if (!fits && find(v, ids[i]) == nullptr) {
+        w.store[ids[i]] = in[i];  // written through
+      }
+    }
+    while (fits && cap_ - ents_.size() < fresh)
+      if (!evict(false, pinned)) return false;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      Ent* e = find(v, ids[i]);
+      if (e == nullptr && !fits) continue;
+      if (e == nullptr) {
+        e = &insert(v, ids[i], {});
+      } else {
+        touch(key(v, ids[i]));
+      }
+      e->data = in[i];
+      e->dirty = true;
+      ++w.st.absorbed_writes;
+    }
+    return true;
+  }
+  void flush(int v) {
+    drain(v);
+    std::uint64_t n = 0;
+    for (auto& [k, e] : ents_)
+      if (e.owner == v && e.dirty) {
+        v_[v].store[block_of(k)] = e.data;
+        e.dirty = false;
+        ++n;
+      }
+    if (n > 0) v_[v].st.writebacks += n, ++v_[v].st.writeback_ops;
+  }
+  void resize(int v, std::size_t n) {
+    drain(v);
+    std::vector<std::uint64_t> doomed;
+    for (const auto& [k, e] : ents_)
+      if (e.owner == v && block_of(k) >= n) doomed.push_back(k);
+    for (std::uint64_t k : doomed) erase(k);
+    v_[v].store.resize(n, Blk(kBw, 0));
+  }
+
+ private:
+  struct Ent {
+    int owner = 0;
+    Blk data;
+    bool dirty = false, prot = false;
+  };
+  static std::uint64_t key(int v, std::uint64_t b) {
+    return (static_cast<std::uint64_t>(v) << 48) | b;
+  }
+  static std::uint64_t block_of(std::uint64_t k) { return k & ((std::uint64_t{1} << 48) - 1); }
+  void drain(int v) {
+    while (!v_[v].pending.empty()) complete(v);
+  }
+  Ent* find(int v, std::uint64_t b) {
+    auto it = ents_.find(key(v, b));
+    return it == ents_.end() ? nullptr : &it->second;
+  }
+  std::list<std::uint64_t>& seg(const Ent& e) { return e.prot ? prot_ : prob_; }
+  void touch(std::uint64_t k) {
+    Ent& e = ents_.at(k);
+    seg(e).remove(k);
+    if (!lru_) e.prot = true;
+    seg(e).push_front(k);
+    if (prot_.size() > prot_cap_) {
+      const std::uint64_t d = prot_.back();
+      prot_.pop_back();
+      ents_.at(d).prot = false;
+      prob_.push_front(d);
+    }
+  }
+  Ent& insert(int v, std::uint64_t b, Blk data) {
+    prob_.push_front(key(v, b));
+    return ents_[key(v, b)] = Ent{v, std::move(data)};
+  }
+  void erase(std::uint64_t k) {
+    seg(ents_.at(k)).remove(k);
+    ents_.erase(k);
+  }
+  /// The original victim walk: probation then protected, cold end first.
+  bool evict(bool clean_only, const std::set<std::uint64_t>& pinned) {
+    for (std::list<std::uint64_t>* s : {&prob_, &prot_})
+      for (auto it = s->rbegin(); it != s->rend(); ++it) {
+        const std::uint64_t k = *it;
+        Ent& e = ents_.at(k);
+        if (pinned.count(k) != 0 || (e.dirty && clean_only)) continue;
+        if (e.dirty && !v_[e.owner].pending.empty()) continue;
+        if (e.dirty) write_back(k);
+        if (s == &prob_ && !lru_ && !clean_only) ++v_[e.owner].st.admission_rejects;
+        ++v_[e.owner].st.evictions;
+        erase(k);
+        return true;
+      }
+    return false;
+  }
+  void write_back(std::uint64_t k) {
+    auto dirty = [this](std::uint64_t x) {
+      auto it = ents_.find(x);
+      return it != ents_.end() && it->second.dirty;
+    };
+    std::uint64_t lo = k, hi = k;
+    while (block_of(lo) > 0 && dirty(lo - 1)) --lo;
+    while (dirty(hi + 1)) ++hi;
+    View& owner = v_[ents_.at(k).owner];
+    for (std::uint64_t x = lo; x <= hi; ++x) {
+      owner.store[block_of(x)] = ents_.at(x).data;
+      ents_.at(x).dirty = false;
+    }
+    owner.st.writebacks += hi - lo + 1;
+    ++owner.st.writeback_ops;
+  }
+
+  const std::size_t cap_, prot_cap_;
+  const bool lru_;
+  std::vector<View> v_;
+  std::map<std::uint64_t, Ent> ents_;
+  std::list<std::uint64_t> prob_, prot_;  // front = hot
+};
+
+void expect_same_stats(const CacheStats& got, const CacheStats& want, const std::string& at) {
+  EXPECT_EQ(got.hits, want.hits) << at;
+  EXPECT_EQ(got.misses, want.misses) << at;
+  EXPECT_EQ(got.absorbed_writes, want.absorbed_writes) << at;
+  EXPECT_EQ(got.evictions, want.evictions) << at;
+  EXPECT_EQ(got.admission_rejects, want.admission_rejects) << at;
+  EXPECT_EQ(got.writebacks, want.writebacks) << at;
+  EXPECT_EQ(got.writeback_ops, want.writeback_ops) << at;
+}
+
+/// Drives `views` cache views (one private core, or views of one shared
+/// core) and the reference with the same seeded op sequence, comparing
+/// stats, residency and bytes after every step and the inner stores at the
+/// end.
+void run_differential(std::uint64_t seed, int views, CachePolicy policy) {
+  constexpr std::size_t kCap = 6, kBlocks = 24, kSteps = 3000;
+  SCOPED_TRACE("seed " + std::to_string(seed) + ", views " + std::to_string(views));
+  rng::Xoshiro rng(seed);
+  RefCache ref(kCap, policy, views, kBlocks);
+  SharedCacheHandle core = make_shared_cache(kCap, policy);
+  std::vector<std::unique_ptr<StorageBackend>> be;
+  for (int v = 0; v < views; ++v) {
+    be.push_back(views == 1 ? caching_backend(mem_backend(), kCap, policy)(kBw)
+                            : caching_backend(mem_backend(), core)(kBw));
+    ASSERT_TRUE(be.back()->resize(kBlocks).ok());
+  }
+  std::vector<std::uint64_t> size(views, kBlocks);
+  std::vector<std::deque<std::vector<Word>>> outs(views);  // begun reads' buffers
+  auto cache = [&](int v) { return dynamic_cast<CachingBackend*>(be[v].get()); };
+  auto flat = [](const std::vector<Blk>& blks) {
+    std::vector<Word> f;
+    for (const Blk& b : blks) f.insert(f.end(), b.begin(), b.end());
+    return f;
+  };
+  for (std::size_t step = 0; step < kSteps; ++step) {
+    const std::string at = "step " + std::to_string(step);
+    const int v = static_cast<int>(rng.below(views));
+    StorageBackend& b = *be[v];
+    // A batch: a run of consecutive ids or scattered ones (duplicates allowed).
+    std::vector<std::uint64_t> ids(1 + rng.below(rng.below(4) == 0 ? 8 : 3));
+    const std::uint64_t start = rng.below(size[v]);
+    const bool run = rng.below(2) == 0;
+    for (std::size_t i = 0; i < ids.size(); ++i)
+      ids[i] = run ? (start + i) % size[v] : rng.below(size[v]);
+    std::vector<Blk> data(ids.size());
+    for (Blk& d : data) d.assign(kBw, rng.next());
+    const std::uint64_t pick = ref.view(v).pending.size() >= 4 ? 8 : rng.below(20);
+    if (pick < 4) {
+      outs[v].emplace_back(ids.size() * kBw, 0);
+      ASSERT_TRUE(b.begin_read_many(ids, outs[v].back()).ok()) << at;
+      ref.begin_read(v, ids);
+    } else if (pick < 8) {
+      outs[v].emplace_back();
+      ASSERT_TRUE(b.begin_write_many(ids, flat(data)).ok()) << at;
+      ref.begin_write(v, ids, data);
+    } else if (pick < 12) {
+      ASSERT_TRUE(b.complete_oldest().ok()) << at;
+      ref.complete(v);
+    } else if (pick < 15) {
+      std::vector<Word> got(ids.size() * kBw);
+      std::vector<Blk> want;
+      const bool ok = ref.read(v, ids, &want);
+      ASSERT_EQ(b.read_many(ids, got).ok(), ok) << at;
+      if (ok) {
+        EXPECT_EQ(got, flat(want)) << at;
+      }
+    } else if (pick < 18) {
+      const bool ok = ref.write(v, ids, data);
+      ASSERT_EQ(b.write_many(ids, flat(data)).ok(), ok) << at;
+    } else if (pick < 19) {
+      ASSERT_TRUE(cache(v)->flush().ok()) << at;
+      ref.flush(v);
+    } else {
+      size[v] = kBlocks / 2 + rng.below(kBlocks / 2 + 1);
+      ASSERT_TRUE(b.resize(size[v]).ok()) << at;
+      ref.resize(v, size[v]);
+    }
+    for (int u = 0; u < views; ++u) {
+      // Completed reads' buffers hold the bytes the reference predicted.
+      for (; !ref.view(u).done.empty(); ref.view(u).done.pop_front()) {
+        ASSERT_FALSE(outs[u].empty()) << at;
+        EXPECT_EQ(outs[u].front(), flat(ref.view(u).done.front())) << at;
+        outs[u].pop_front();
+      }
+      expect_same_stats(cache(u)->stats(), ref.view(u).st, at);
+    }
+    ASSERT_EQ(cache(0)->cached_blocks(), ref.residents()) << at;
+    if (::testing::Test::HasFailure()) return;
+  }
+  for (int v = 0; v < views; ++v) {
+    ASSERT_TRUE(cache(v)->flush().ok());
+    ref.flush(v);
+    for (std::uint64_t blk = 0; blk < size[v]; ++blk) {
+      std::vector<Word> raw(kBw);
+      ASSERT_TRUE(cache(v)->inner().read(blk, raw).ok());
+      EXPECT_EQ(raw, ref.view(v).store[blk]) << "view " << v << " block " << blk;
+    }
+  }
+}
+
+TEST(CachingBackendModel, PrivateCacheMatchesTheReference) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed)
+    run_differential(seed, 1, CachePolicy::kScanResistant);
+}
+
+TEST(CachingBackendModel, PrivateLruCacheMatchesTheReference) {
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) run_differential(seed, 1, CachePolicy::kLru);
+}
+
+TEST(CachingBackendModel, SharedCoreViewsMatchTheReference) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed)
+    run_differential(seed, 2, CachePolicy::kScanResistant);
 }
 
 TEST(CachingBackend, FlushFailureIsCountedAndLatchedInHealth) {
