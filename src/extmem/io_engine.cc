@@ -986,6 +986,14 @@ CachingBackend::Entry* CachingBackend::find(std::uint64_t block) {
 
 void CachingBackend::touch(Entry& e) {
   CacheCore& c = *core_;
+  if (e.ahead) {
+    // First reference of a read-ahead block: it stands in for the demand
+    // miss that would have admitted it -- probation front, no promotion.
+    e.ahead = false;
+    e.owner->readahead_hits_.fetch_add(1, std::memory_order_relaxed);
+    c.move_front(e, c.probation_);
+    return;
+  }
   // kLru keeps its single list in probation_; a protected resident stays
   // protected.  Either way the entry just moves to its segment's front.
   if (c.policy_ == CachePolicy::kLru || e.prot) {
@@ -1092,6 +1100,26 @@ CachingBackend::Entry* CachingBackend::admit(std::uint64_t block, std::size_t sl
   return &e;
 }
 
+bool CachingBackend::take_clean_slot(std::size_t* slot) {
+  CacheCore& c = *core_;
+  if (!c.free_slots_.empty()) {
+    *slot = c.free_slots_.back();
+    c.free_slots_.pop_back();
+    return true;
+  }
+  CacheCore::Segment* seg = !c.probation_.clean.empty()   ? &c.probation_
+                            : !c.protected_.clean.empty() ? &c.protected_
+                                                          : nullptr;
+  if (seg == nullptr) return false;
+  Entry& v = *seg->clean.back();
+  // Pins exist only inside do_write_many, which holds the core lock and
+  // completes its view's pending ops before pinning.
+  assert(!v.pinned);
+  v.owner->evictions_.fetch_add(1, std::memory_order_relaxed);
+  *slot = c.erase(v);
+  return true;
+}
+
 void CachingBackend::erase_entry(std::uint64_t key) {
   CacheCore& c = *core_;
   auto it = c.entries_.find(key);
@@ -1162,6 +1190,7 @@ Status CachingBackend::do_resize(std::uint64_t nblocks) {
   for (const auto& [key, e] : c.entries_)
     if (e.owner == this && block_of(key) >= nblocks) doomed.push_back(key);
   for (std::uint64_t k : doomed) erase_entry(k);
+  for (Stream& s : streams_) s = Stream{};
   return inner_->resize(nblocks);
 }
 
@@ -1175,11 +1204,65 @@ Status CachingBackend::do_write(std::uint64_t block, std::span<const Word> in) {
   return do_write_many(std::span<const std::uint64_t>(ids, 1), in);
 }
 
+bool CachingBackend::advance_stream(std::uint64_t block) {
+  // The most recently advanced stream ending at block-1 continues; else the
+  // least recently advanced (or an empty) slot starts a new one.
+  Stream* match = nullptr;
+  Stream* oldest = &streams_[0];
+  for (Stream& s : streams_) {
+    if (s.used != 0 && block > 0 && s.last == block - 1 &&
+        (match == nullptr || s.used > match->used))
+      match = &s;
+    if (s.used < oldest->used) oldest = &s;
+  }
+  *(match != nullptr ? match : oldest) = Stream{block, ++stream_clock_};
+  return match != nullptr;
+}
+
+Status CachingBackend::read_ahead(std::uint64_t block, std::span<Word> out) {
+  CacheCore& c = *core_;
+  const std::size_t bw = block_words();
+  // Slots a speculative block may take without inner I/O, one of which
+  // `block` itself may use.  Only those are spent: a readahead never writes
+  // a dirty victim back nor evicts the protected set.  One readahead also
+  // spends at most the probation segment's share of the cache, so in a small
+  // cache it cannot flush the blocks still waiting for their re-reference.
+  const std::size_t budget = std::min(c.free_slots_.size() + c.probation_.clean.size(),
+                                      c.cap_ - c.prot_cap_);
+  std::vector<std::uint64_t> ids = {block};
+  for (std::uint64_t b = block + 1;
+       b < block + kReadaheadWindow && b < num_blocks() && ids.size() < budget; ++b)
+    if (find(b) == nullptr) ids.push_back(b);
+  ArenaBuffer staging;
+  staging.resize(ids.size() * bw);
+  OEM_RETURN_IF_ERROR(
+      inner_->read_many(ids, std::span<Word>(staging.data(), staging.size())));
+  std::memcpy(out.data(), staging.data(), bw * sizeof(Word));
+  auto e = insert(block);
+  OEM_RETURN_IF_ERROR(e.status());
+  std::memcpy(slot_data((*e)->slot), staging.data(), bw * sizeof(Word));
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  // Admitted after `block`: the budget left covers every one of them with a
+  // free slot or a clean probation resident colder than `block`.
+  for (std::size_t j = 1; j < ids.size(); ++j) {
+    std::size_t slot = 0;
+    if (!take_clean_slot(&slot)) break;
+    admit(ids[j], slot)->ahead = true;
+    std::memcpy(slot_data(slot), staging.data() + j * bw, bw * sizeof(Word));
+    readahead_blocks_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return Status::Ok();
+}
+
 Status CachingBackend::do_read_many(std::span<const std::uint64_t> blocks,
                                     std::span<Word> out) {
   std::lock_guard<std::mutex> core_lk(core_->mu_);
   while (!pending_.empty()) OEM_RETURN_IF_ERROR(do_complete_oldest_locked());
   const std::size_t bw = block_words();
+  if (blocks.size() == 1) {
+    const bool continues = advance_stream(blocks[0]);
+    if (continues && find(blocks[0]) == nullptr) return read_ahead(blocks[0], out);
+  }
   // Stats are credited only on success: the device's retry loop re-invokes
   // the whole op on kIo, and re-served hits must not count twice.
   std::uint64_t op_hits = 0;
@@ -1257,9 +1340,11 @@ Status CachingBackend::do_write_many(std::span<const std::uint64_t> blocks,
     // Phase 1a: pin this batch's cached entries (and front them) so the
     // slot-freeing evictions below can only pick non-batch victims (the
     // capacity argument: unique <= cap_ guarantees enough of them).
+    // A read-ahead entry is only pinned here: phase 2's touch is its first
+    // reference (one write, one reference -- no promotion).
     for (std::size_t i = 0; i < blocks.size(); ++i)
       if (Entry* e = find(blocks[i])) {
-        touch(*e);
+        if (!e->ahead) touch(*e);
         e->pinned = true;
       }
     // Phase 1b: secure a slot per fresh id -- the only failure point.
@@ -1420,7 +1505,6 @@ Status CachingBackend::do_complete_oldest() {
 
 Status CachingBackend::do_complete_oldest_locked() {
   if (pending_.empty()) return Status::Ok();
-  CacheCore& c = *core_;
   PendingOp op = std::move(pending_.front());
   pending_.pop_front();
   if (!op.is_read) {
@@ -1453,26 +1537,12 @@ Status CachingBackend::do_complete_oldest_locked() {
       if (find(b) != nullptr) continue;  // duplicate id or already granted
       if (write_around_in_flight(b)) continue;
       std::size_t slot = 0;
-      if (!c.free_slots_.empty()) {
-        slot = c.free_slots_.back();
-        c.free_slots_.pop_back();
-      } else {
-        CacheCore::Segment* seg = !c.probation_.clean.empty()   ? &c.probation_
-                                  : !c.protected_.clean.empty() ? &c.protected_
-                                                                : nullptr;
-        if (seg == nullptr) {
-          // Every resident block is dirty: granting residency would need
-          // inner I/O mid-FIFO.  Decline -- the bytes are already in the
-          // caller's hands, only the cache copy is skipped.
-          admission_rejects_.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        Entry& v = *seg->clean.back();
-        // Pins exist only inside do_write_many, which holds the core lock
-        // and completes its view's pending ops before pinning.
-        assert(!v.pinned);
-        v.owner->evictions_.fetch_add(1, std::memory_order_relaxed);
-        slot = c.erase(v);
+      if (!take_clean_slot(&slot)) {
+        // Every resident block is dirty: granting residency would need
+        // inner I/O mid-FIFO.  Decline -- the bytes are already in the
+        // caller's hands, only the cache copy is skipped.
+        admission_rejects_.fetch_add(1, std::memory_order_relaxed);
+        continue;
       }
       admit(b, slot);
       const Word* src = op.staging.empty() ? op.out + op.miss_pos[j] * bw

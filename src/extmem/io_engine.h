@@ -24,8 +24,10 @@
 //     absorbed in the cache (dirty blocks reach the store below only on
 //     eviction or flush, with dirty neighbors coalesced into one batched
 //     write-back frame), re-touched reads are served without an inner op,
-//     and misses forward the split-phase face so a cache over a remote
-//     store keeps its wire pipelining.  Sits ABOVE encryption (it must hold
+//     misses forward the split-phase face so a cache over a remote store
+//     keeps its wire pipelining, and a synchronous single-block miss that
+//     continues an ascending stream reads the next blocks ahead in the
+//     same inner frame.  Sits ABOVE encryption (it must hold
 //     each plaintext block exactly once) and ABOVE latency/sharding (a hit
 //     must cost no simulated round trip); Session::Builder::cache composes
 //     it there.  The BlockDevice records the trace at submit time ABOVE
@@ -536,6 +538,12 @@ struct CacheStats {
   /// instead of evicting the protected working set), plus split-phase
   /// residency grants that had to be declined.
   std::uint64_t admission_rejects = 0;
+  /// Sequential readahead: blocks fetched ahead of demand, and how many of
+  /// those were referenced before eviction (readahead_hits /
+  /// readahead_blocks is its useful share).  A read served by a read-ahead
+  /// block also counts in `hits`; `misses` counts demanded blocks only.
+  std::uint64_t readahead_blocks = 0;
+  std::uint64_t readahead_hits = 0;
   double hit_rate() const {
     const std::uint64_t n = hits + misses;
     return n == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(n);
@@ -592,6 +600,7 @@ class CacheCore {
     bool dirty = false;
     bool prot = false;    // resident in the protected segment
     bool pinned = false;  // mid-batch eviction shield (see do_write_many)
+    bool ahead = false;   // read ahead and not yet referenced
     EntryList::iterator lru;    // position in its segment's `all` list
     EntryList::iterator clean;  // position in its segment's `clean` list
                                 // (meaningful only while !dirty)
@@ -663,6 +672,24 @@ SharedCacheHandle make_shared_cache(std::size_t capacity_blocks,
 /// free slot or the coldest clean resident as victim) and declines it
 /// otherwise -- a constant amount of work per block either way.
 ///
+/// Sequential readahead (synchronous path only): every single-block sync
+/// read advances one slot of a 4-slot table of recent stream positions (the
+/// most recently advanced slot holding block-1, else the least recently
+/// advanced one; resize resets the table).  When such a read of `b` misses
+/// and b-1 was in the table, one inner read_many fetches `b` plus the
+/// non-resident blocks of (b, b+16) below the view's size.  The speculative
+/// blocks only take slots that cost no inner I/O -- free slots and clean
+/// probation residents, never a dirty or protected one -- so their number is
+/// capped by that budget, and by the probation segment's share of the cache
+/// (capacity - ~3/4 capacity, `b` included; the window binds from 64 blocks
+/// up); `b` itself is admitted like any miss.  Read-ahead blocks enter
+/// probation flagged `ahead`; their first reference (a sync or begun read or
+/// write) clears the flag and moves them to the probation front WITHOUT
+/// promotion, exactly where a demand miss would have put them, so a
+/// sequential scan still never reaches the protected segment.  The readahead
+/// sits below the BlockDevice recorder and depends only on the block-id
+/// sequence and residency, never on block contents.
+///
 /// Placement (Session::Builder::cache enforces this order): ABOVE encryption
 /// (the cache must hold each plaintext block exactly once -- an
 /// EncryptedBackend over a CachingBackend is rejected at health()) and above
@@ -731,6 +758,8 @@ class CachingBackend : public StorageBackend {
     s.evictions = evictions_.load(std::memory_order_relaxed);
     s.flush_failures = flush_failures_.load(std::memory_order_relaxed);
     s.admission_rejects = admission_rejects_.load(std::memory_order_relaxed);
+    s.readahead_blocks = readahead_blocks_.load(std::memory_order_relaxed);
+    s.readahead_hits = readahead_hits_.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -752,6 +781,14 @@ class CachingBackend : public StorageBackend {
 
  private:
   using Entry = CacheCore::Entry;
+  /// Readahead geometry (see the class comment): a triggering miss fetches
+  /// blocks of [b, b + kReadaheadWindow), tracked over kStreamSlots streams.
+  static constexpr std::uint64_t kReadaheadWindow = 16;
+  static constexpr std::size_t kStreamSlots = 4;
+  struct Stream {
+    std::uint64_t last = 0;  // last block read by this stream
+    std::uint64_t used = 0;  // stream_clock_ at its last advance; 0 = empty
+  };
 
   /// One begun split-phase batch.  The BEGIN half never mutates cache
   /// residency (no allocation, no eviction): hits are served/absorbed at
@@ -799,7 +836,9 @@ class CachingBackend : public StorageBackend {
   Entry* find(std::uint64_t block);
   /// Policy-dependent re-reference: kLru fronts the single list; segmented
   /// LRU promotes a probation entry to the protected segment (demoting the
-  /// protected LRU back to probation when that segment is full).
+  /// protected LRU back to probation when that segment is full).  The first
+  /// reference of a read-ahead entry only clears its flag and fronts it in
+  /// probation (see the class comment).
   void touch(Entry& e);
   /// Frees one slot by evicting the coldest ELIGIBLE entry -- probation
   /// back-to-front first, then protected -- skipping pinned entries and
@@ -818,6 +857,16 @@ class CachingBackend : public StorageBackend {
   Result<Entry*> insert(std::uint64_t block);
   /// Indexes this view's `block` in `slot` as a clean probation-front entry.
   Entry* admit(std::uint64_t block, std::size_t slot);
+  /// A slot that costs no inner I/O: a free one, else the coldest clean
+  /// probation resident's, else the coldest clean protected resident's.
+  /// False when there is none.
+  bool take_clean_slot(std::size_t* slot);
+  /// Advances the stream table with a single-block sync read of `block`;
+  /// true when it continues a stream (block-1 was a slot's last block).
+  bool advance_stream(std::uint64_t block);
+  /// The readahead miss of `block` (see the class comment): one inner frame
+  /// for `block` and the budgeted non-resident blocks after it.
+  Status read_ahead(std::uint64_t block, std::span<Word> out);
   /// Writes back the maximal consecutive run of cached dirty blocks around
   /// `key` (same view by construction: keys namespace the id space) in one
   /// coalesced write_many through the owning view's inner store, marking
@@ -846,6 +895,8 @@ class CachingBackend : public StorageBackend {
   /// frames: filled at begin, drained when the write op retires.
   std::unordered_map<std::uint64_t, std::uint32_t> around_in_flight_;
   std::vector<Word> wb_stage_;      // write-back / write-around gather scratch
+  Stream streams_[kStreamSlots];    // readahead stream table (reset by resize)
+  std::uint64_t stream_clock_ = 0;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> absorbed_{0};
@@ -854,6 +905,8 @@ class CachingBackend : public StorageBackend {
   std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> flush_failures_{0};
   std::atomic<std::uint64_t> admission_rejects_{0};
+  std::atomic<std::uint64_t> readahead_blocks_{0};
+  std::atomic<std::uint64_t> readahead_hits_{0};
   /// First flush error ever observed (latched; see class comment).
   mutable std::mutex flush_mu_;
   Status flush_error_;  // guarded by flush_mu_

@@ -480,13 +480,245 @@ TEST(CachingBackend, SharedCoreCompletionNeverEvictsAnotherViewsDirtyBlock) {
 }
 
 // ---------------------------------------------------------------------------
+// Sequential readahead.
+
+/// Gives blocks [0, n) of the store below the op counter distinct contents
+/// (uncounted), so every read can be checked against the store's bytes.
+void fill_below(CacheRig& rig, std::uint64_t n) {
+  for (std::uint64_t b = 0; b < n; ++b)
+    ASSERT_TRUE(rig.counter->inner().write(b, rig.block(1000 + b)).ok());
+}
+
+TEST(CachingBackend, AscendingSingleBlockReadsFetchAWindowPerInnerOp) {
+  CacheRig rig(64);
+  ASSERT_TRUE(rig.backend->resize(64).ok());
+  fill_below(rig, 64);
+  std::vector<Word> out(kBw);
+  for (std::uint64_t b = 0; b < 64; ++b) {
+    ASSERT_TRUE(rig.backend->read(b, out).ok());
+    EXPECT_EQ(out, rig.block(1000 + b)) << "block " << b;
+  }
+  // Block 0 starts the stream; each later miss fetches a 16-block window.
+  EXPECT_LE(rig.counter->ops(), 64u / 16 + 2);
+  const CacheStats st = rig.cache->stats();
+  EXPECT_EQ(st.misses, rig.counter->ops()) << "misses count demanded blocks only";
+  EXPECT_EQ(st.hits + st.misses, 64u);
+  EXPECT_GT(st.readahead_blocks, 0u);
+  EXPECT_EQ(st.readahead_hits, st.readahead_blocks) << "a scan uses every block it read ahead";
+}
+
+TEST(CachingBackend, AscendingScanOverARemoteStoreSpendsOneFramePerWindow) {
+  RemoteServer server;
+  ASSERT_TRUE(server.health().ok()) << server.health();
+  RemoteBackendOptions ropts;
+  ropts.host = server.host();
+  ropts.port = server.port();
+  ropts.store_id = 3;
+  auto cache_owner = caching_backend(remote_backend(ropts), 64)(kBw);
+  auto* cache = dynamic_cast<CachingBackend*>(cache_owner.get());
+  ASSERT_NE(cache, nullptr);
+  ASSERT_TRUE(cache_owner->resize(64).ok());
+  std::vector<std::uint64_t> ids(64);
+  std::vector<Word> data(64 * kBw);
+  for (std::uint64_t b = 0; b < 64; ++b) {
+    ids[b] = b;
+    std::fill_n(data.begin() + b * kBw, kBw, 500 + b);
+  }
+  ASSERT_TRUE(cache->inner().write_many(ids, data).ok());  // below the cache
+
+  const std::uint64_t frames_before = server.frames_served();
+  std::vector<Word> out(kBw);
+  for (std::uint64_t b = 0; b < 64; ++b) {
+    ASSERT_TRUE(cache_owner->read(b, out).ok());
+    EXPECT_EQ(out, std::vector<Word>(kBw, 500 + b)) << "block " << b;
+  }
+  EXPECT_LE(server.frames_served() - frames_before, 64u / 16 + 2);
+}
+
+TEST(CachingBackend, ScatteredSingleBlockReadsNeverReadAhead) {
+  CacheRig rig(8);
+  ASSERT_TRUE(rig.backend->resize(256).ok());
+  fill_below(rig, 256);
+  rng::Xoshiro rng(3);
+  std::deque<std::uint64_t> recent;  // the last four blocks read
+  std::vector<Word> out(kBw);
+  for (int i = 0; i < 300; ++i) {
+    std::uint64_t b = 0;
+    do {
+      b = rng.below(256);
+    } while (b > 0 && std::count(recent.begin(), recent.end(), b - 1) > 0);
+    ASSERT_TRUE(rig.backend->read(b, out).ok());
+    EXPECT_EQ(out, rig.block(1000 + b));
+    recent.push_front(b);
+    if (recent.size() > 4) recent.pop_back();
+  }
+  EXPECT_EQ(rig.cache->stats().readahead_blocks, 0u);
+  EXPECT_EQ(rig.counter->ops(), rig.cache->stats().misses);
+}
+
+TEST(CachingBackend, ReadaheadStopsAtTheViewSize) {
+  // The inner store is exactly as large as the view, so a fetch past the
+  // end would fail the read; the exact counts pin the truncated windows.
+  CacheRig rig(64);
+  ASSERT_TRUE(rig.backend->resize(20).ok());
+  fill_below(rig, 20);
+  std::vector<Word> out(kBw);
+  for (std::uint64_t b = 0; b < 20; ++b) {
+    ASSERT_TRUE(rig.backend->read(b, out).ok()) << "block " << b;
+    EXPECT_EQ(out, rig.block(1000 + b));
+  }
+  // Demanded: 0 (starts the stream), 1 (fetches 1..16), 17 (fetches 17..19).
+  EXPECT_EQ(rig.cache->stats().misses, 3u);
+  EXPECT_EQ(rig.cache->stats().readahead_blocks, 17u);
+
+  // After a shrink: a stream read ahead to 56 at size 64, the view shrinks
+  // to 30, and a new stream runs into the new end.
+  ASSERT_TRUE(rig.backend->resize(64).ok());
+  ASSERT_TRUE(rig.backend->read(40, out).ok());
+  ASSERT_TRUE(rig.backend->read(41, out).ok());  // fetches 41..56
+  EXPECT_EQ(rig.cache->stats().readahead_blocks, 17u + 15);
+  ASSERT_TRUE(rig.backend->resize(30).ok());
+  fill_below(rig, 30);
+  const CacheStats before = rig.cache->stats();
+  for (std::uint64_t b = 20; b < 30; ++b) {
+    ASSERT_TRUE(rig.backend->read(b, out).ok()) << "block " << b;
+    EXPECT_EQ(out, rig.block(1000 + b));
+  }
+  // 20 starts the stream, 21 fetches 21..29.
+  EXPECT_EQ(rig.cache->stats().misses - before.misses, 2u);
+  EXPECT_EQ(rig.cache->stats().readahead_blocks - before.readahead_blocks, 8u);
+}
+
+TEST(CachingBackend, PromotedHotSetSurvivesAReadAheadScan) {
+  CacheRig rig(16);
+  ASSERT_TRUE(rig.backend->resize(256).ok());
+  fill_below(rig, 256);
+  std::vector<Word> out(kBw);
+  const std::uint64_t hot[] = {200, 202, 204, 206};  // no two form a stream
+  for (int pass = 0; pass < 2; ++pass)  // the re-reference promotes
+    for (std::uint64_t b : hot) ASSERT_TRUE(rig.backend->read(b, out).ok());
+
+  for (std::uint64_t b = 0; b < 64; ++b) {  // 4x capacity, one pass
+    ASSERT_TRUE(rig.backend->read(b, out).ok());
+    EXPECT_EQ(out, rig.block(1000 + b));
+  }
+  EXPECT_GT(rig.cache->stats().readahead_blocks, 0u);
+  std::uint64_t ops = rig.counter->ops();
+  for (std::uint64_t b : hot) ASSERT_TRUE(rig.backend->read(b, out).ok());
+  EXPECT_EQ(rig.counter->ops(), ops) << "the scan evicted the protected hot set";
+
+  // No scan block reached protected: a second, disjoint scan flushes
+  // probation, and then every block of the first scan's tail misses (read
+  // descending, so no stream forms).
+  for (std::uint64_t b = 100; b < 132; ++b) ASSERT_TRUE(rig.backend->read(b, out).ok());
+  const std::uint64_t misses = rig.cache->stats().misses;
+  for (std::uint64_t b = 63; b >= 48; --b) ASSERT_TRUE(rig.backend->read(b, out).ok());
+  EXPECT_EQ(rig.cache->stats().misses - misses, 16u) << "a scan block was protected";
+  ops = rig.counter->ops();
+  for (std::uint64_t b : hot) ASSERT_TRUE(rig.backend->read(b, out).ok());
+  EXPECT_EQ(rig.counter->ops(), ops);
+}
+
+TEST(CachingBackend, ReadAheadBlockOverwrittenBeforeItsReadReturnsTheNewBytes) {
+  CacheRig rig(16);
+  ASSERT_TRUE(rig.backend->resize(64).ok());
+  fill_below(rig, 64);
+  std::vector<Word> out(kBw);
+  ASSERT_TRUE(rig.backend->read(0, out).ok());
+  ASSERT_TRUE(rig.backend->read(1, out).ok());  // reads 2..4 ahead
+  ASSERT_EQ(rig.cache->stats().readahead_blocks, 3u);
+
+  const std::vector<Word> sync_bytes = rig.block(33), begun_bytes = rig.block(44);
+  ASSERT_TRUE(rig.backend->write(3, sync_bytes).ok());
+  const std::uint64_t four[1] = {4};
+  ASSERT_TRUE(rig.backend->begin_write_many(four, begun_bytes).ok());
+  ASSERT_TRUE(rig.backend->complete_oldest().ok());
+  EXPECT_EQ(rig.cache->stats().absorbed_writes, 2u) << "both writes hit read-ahead blocks";
+
+  ASSERT_TRUE(rig.backend->read(2, out).ok());
+  EXPECT_EQ(out, rig.block(1002));
+  ASSERT_TRUE(rig.backend->read(3, out).ok());
+  EXPECT_EQ(out, sync_bytes);
+  ASSERT_TRUE(rig.backend->read(4, out).ok());
+  EXPECT_EQ(out, begun_bytes);
+  EXPECT_EQ(rig.cache->stats().readahead_hits, 3u);
+  ASSERT_TRUE(rig.cache->flush().ok());
+  std::vector<Word> raw(kBw);
+  ASSERT_TRUE(rig.counter->inner().read(3, raw).ok());
+  EXPECT_EQ(raw, sync_bytes);
+  ASSERT_TRUE(rig.counter->inner().read(4, raw).ok());
+  EXPECT_EQ(raw, begun_bytes);
+}
+
+TEST(CachingBackend, ReadaheadSpendsOnlyFreeAndCleanProbationSlots) {
+  // 60 dirty residents (the coldest), 4 free slots, then a stream: the
+  // readahead may take the 3 free slots left after block 1 plus clean block
+  // 0, never a dirty victim.
+  CacheRig rig(64);
+  ASSERT_TRUE(rig.backend->resize(512).ok());
+  fill_below(rig, 64);
+  for (std::uint64_t b = 200; b < 260; ++b)
+    ASSERT_TRUE(rig.backend->write(b, rig.block(b)).ok());
+  std::vector<Word> out(kBw);
+  ASSERT_TRUE(rig.backend->read(0, out).ok());
+  ASSERT_TRUE(rig.backend->read(1, out).ok());
+  EXPECT_EQ(out, rig.block(1001));
+  EXPECT_EQ(rig.cache->stats().readahead_blocks, 3u);
+  EXPECT_EQ(rig.cache->stats().evictions, 1u) << "clean block 0 is the one victim";
+  EXPECT_EQ(rig.cache->stats().writeback_ops, 0u) << "a readahead wrote a dirty victim back";
+  EXPECT_EQ(rig.counter->ops(), 2u);
+  for (std::uint64_t b = 2; b < 5; ++b) {
+    ASSERT_TRUE(rig.backend->read(b, out).ok());
+    EXPECT_EQ(out, rig.block(1000 + b));
+  }
+  EXPECT_EQ(rig.counter->ops(), 2u);
+}
+
+TEST(CachingBackend, SharedCoreReadaheadNeverTouchesAnotherViewsDirtyBlocks) {
+  // Core of 32 (probation share 8).  B's 20 dirty blocks are the coldest
+  // residents; A's stream reads ahead past them, evicting only its own
+  // clean blocks, and nothing reaches B's inner store.
+  auto core = make_shared_cache(32);
+  CachingBackend a(latency_backend(mem_backend(), counting_profile())(kBw), core);
+  CachingBackend b(latency_backend(mem_backend(), counting_profile())(kBw), core);
+  auto* a_ops = dynamic_cast<LatencyBackend*>(&a.inner());
+  auto* b_ops = dynamic_cast<LatencyBackend*>(&b.inner());
+  ASSERT_TRUE(a.resize(64).ok());
+  ASSERT_TRUE(b.resize(32).ok());
+  for (std::uint64_t blk = 0; blk < 20; ++blk)
+    ASSERT_TRUE(b.write(blk, std::vector<Word>(kBw, 70 + blk)).ok());
+  for (std::uint64_t blk = 0; blk < 64; ++blk)
+    ASSERT_TRUE(a_ops->inner().write(blk, std::vector<Word>(kBw, 900 + blk)).ok());
+
+  std::vector<Word> out(kBw);
+  for (std::uint64_t blk = 0; blk <= 16; ++blk) {
+    ASSERT_TRUE(a.read(blk, out).ok());
+    EXPECT_EQ(out, std::vector<Word>(kBw, 900 + blk));
+  }
+  // Demanded 0, then 1 (fetches 1..8 into free slots), then 9 (fetches
+  // 9..16: 3 free slots, then A's clean 0..4).
+  EXPECT_EQ(a_ops->ops(), 3u);
+  EXPECT_EQ(a.stats().readahead_blocks, 14u);
+  EXPECT_EQ(a.stats().evictions, 5u);
+  EXPECT_EQ(b.stats().evictions, 0u);
+  EXPECT_EQ(b.stats().writebacks, 0u);
+  EXPECT_EQ(b_ops->ops(), 0u) << "A's readahead issued I/O through B's store";
+  for (std::uint64_t blk = 0; blk < 20; ++blk) {
+    ASSERT_TRUE(b.read(blk, out).ok());
+    EXPECT_EQ(out, std::vector<Word>(kBw, 70 + blk));
+  }
+  EXPECT_EQ(b_ops->ops(), 0u) << "one of B's dirty blocks was evicted";
+}
+
+// ---------------------------------------------------------------------------
 // Differential test against a reference model.
 
 using Blk = std::vector<Word>;
 
 /// The cache's decisions, spelled out the slow way: segments are lists of
 /// keys, and every victim search walks them from the cold end.  Inner stores
-/// are mem (begun frames apply at begin, in order), one per view.
+/// are mem (begun frames apply at begin, in order), one per view.  The
+/// readahead rule is restated from the CachingBackend class comment.
 class RefCache {
  public:
   struct Op {
@@ -501,6 +733,7 @@ class RefCache {
     std::deque<Op> pending;
     std::deque<std::vector<Blk>> done;  // completed ops' expected bytes, FIFO
     CacheStats st;
+    std::vector<std::uint64_t> streams;  // last block per stream, most recent first
   };
   RefCache(std::size_t cap, CachePolicy policy, int views, std::size_t nblocks)
       : cap_(cap), prot_cap_(std::max<std::size_t>(1, cap * 3 / 4)),
@@ -568,6 +801,8 @@ class RefCache {
   bool read(int v, const std::vector<std::uint64_t>& ids, std::vector<Blk>* out) {
     drain(v);
     View& w = v_[v];
+    if (ids.size() == 1 && advance_stream(w, ids[0]) && find(v, ids[0]) == nullptr)
+      return read_ahead(v, ids[0], out);
     std::vector<std::uint64_t> miss;
     out->clear();
     std::uint64_t hits = 0;
@@ -601,7 +836,7 @@ class RefCache {
     const bool fits = unique.size() <= cap_;
     for (std::size_t i = 0; i < ids.size(); ++i) {
       if (fits && find(v, ids[i]) != nullptr) {
-        touch(key(v, ids[i]));
+        if (!find(v, ids[i])->ahead) touch(key(v, ids[i]));
         pinned.insert(key(v, ids[i]));
       } else if (!fits && find(v, ids[i]) == nullptr) {
         w.store[ids[i]] = in[i];  // written through
@@ -641,13 +876,14 @@ class RefCache {
       if (e.owner == v && block_of(k) >= n) doomed.push_back(k);
     for (std::uint64_t k : doomed) erase(k);
     v_[v].store.resize(n, Blk(kBw, 0));
+    v_[v].streams.clear();
   }
 
  private:
   struct Ent {
     int owner = 0;
     Blk data;
-    bool dirty = false, prot = false;
+    bool dirty = false, prot = false, ahead = false;
   };
   static std::uint64_t key(int v, std::uint64_t b) {
     return (static_cast<std::uint64_t>(v) << 48) | b;
@@ -664,6 +900,12 @@ class RefCache {
   void touch(std::uint64_t k) {
     Ent& e = ents_.at(k);
     seg(e).remove(k);
+    if (e.ahead) {  // first reference: probation front, no promotion
+      e.ahead = false;
+      ++v_[e.owner].st.readahead_hits;
+      prob_.push_front(k);
+      return;
+    }
     if (!lru_) e.prot = true;
     seg(e).push_front(k);
     if (prot_.size() > prot_cap_) {
@@ -681,10 +923,48 @@ class RefCache {
     seg(ents_.at(k)).remove(k);
     ents_.erase(k);
   }
+  /// A single-block read of `b` advances the stream ending at b-1, else
+  /// replaces the least recently advanced of 4; true for the former.
+  bool advance_stream(View& w, std::uint64_t b) {
+    auto it = std::find(w.streams.begin(), w.streams.end(), b - 1);
+    const bool continues = b > 0 && it != w.streams.end();
+    if (continues) {
+      w.streams.erase(it);
+    } else if (w.streams.size() == 4) {
+      w.streams.pop_back();
+    }
+    w.streams.insert(w.streams.begin(), b);
+    return continues;
+  }
+  /// One inner read of b and the non-resident blocks of (b, b+16) below the
+  /// view's size, as many as the free slots plus clean probation residents
+  /// (and the probation share) allow with b taking one; b is admitted like
+  /// any miss, the rest each take a free slot or the coldest clean
+  /// probation resident.
+  bool read_ahead(int v, std::uint64_t b, std::vector<Blk>* out) {
+    View& w = v_[v];
+    std::size_t budget = cap_ - ents_.size();
+    for (std::uint64_t k : prob_) budget += ents_.at(k).dirty ? 0 : 1;
+    budget = std::min(budget, cap_ - prot_cap_);
+    std::vector<std::uint64_t> ids = {b};
+    for (std::uint64_t x = b + 1; x < b + 16 && x < w.store.size() && ids.size() < budget; ++x)
+      if (find(v, x) == nullptr) ids.push_back(x);
+    *out = {w.store[b]};
+    if (ents_.size() == cap_ && !evict(false, {})) return false;
+    insert(v, b, w.store[b]);
+    ++w.st.misses;
+    for (std::size_t j = 1; j < ids.size(); ++j) {
+      if (ents_.size() == cap_ && !evict(true, {}, /*probation_only=*/true)) break;
+      insert(v, ids[j], w.store[ids[j]]).ahead = true;
+      ++w.st.readahead_blocks;
+    }
+    return true;
+  }
   /// The original victim walk: probation then protected, cold end first.
-  bool evict(bool clean_only, const std::set<std::uint64_t>& pinned) {
+  bool evict(bool clean_only, const std::set<std::uint64_t>& pinned,
+             bool probation_only = false) {
     for (std::list<std::uint64_t>* s : {&prob_, &prot_})
-      for (auto it = s->rbegin(); it != s->rend(); ++it) {
+      for (auto it = s->rbegin(); it != s->rend() && !(probation_only && s == &prot_); ++it) {
         const std::uint64_t k = *it;
         Ent& e = ents_.at(k);
         if (pinned.count(k) != 0 || (e.dirty && clean_only)) continue;
@@ -729,15 +1009,20 @@ void expect_same_stats(const CacheStats& got, const CacheStats& want, const std:
   EXPECT_EQ(got.admission_rejects, want.admission_rejects) << at;
   EXPECT_EQ(got.writebacks, want.writebacks) << at;
   EXPECT_EQ(got.writeback_ops, want.writeback_ops) << at;
+  EXPECT_EQ(got.readahead_blocks, want.readahead_blocks) << at;
+  EXPECT_EQ(got.readahead_hits, want.readahead_hits) << at;
 }
 
 /// Drives `views` cache views (one private core, or views of one shared
 /// core) and the reference with the same seeded op sequence, comparing
 /// stats, residency and bytes after every step and the inner stores at the
-/// end.
-void run_differential(std::uint64_t seed, int views, CachePolicy policy) {
-  constexpr std::size_t kCap = 6, kBlocks = 24, kSteps = 3000;
-  SCOPED_TRACE("seed " + std::to_string(seed) + ", views " + std::to_string(views));
+/// end.  The mix includes runs of ascending single-block sync reads, so the
+/// readahead rule fires in every seed.
+void run_differential(std::uint64_t seed, int views, CachePolicy policy,
+                      std::size_t kCap = 6, std::size_t kBlocks = 24) {
+  constexpr std::size_t kSteps = 3000;
+  SCOPED_TRACE("seed " + std::to_string(seed) + ", views " + std::to_string(views) +
+               ", capacity " + std::to_string(kCap));
   rng::Xoshiro rng(seed);
   RefCache ref(kCap, policy, views, kBlocks);
   SharedCacheHandle core = make_shared_cache(kCap, policy);
@@ -767,7 +1052,7 @@ void run_differential(std::uint64_t seed, int views, CachePolicy policy) {
       ids[i] = run ? (start + i) % size[v] : rng.below(size[v]);
     std::vector<Blk> data(ids.size());
     for (Blk& d : data) d.assign(kBw, rng.next());
-    const std::uint64_t pick = ref.view(v).pending.size() >= 4 ? 8 : rng.below(20);
+    const std::uint64_t pick = ref.view(v).pending.size() >= 4 ? 8 : rng.below(22);
     if (pick < 4) {
       outs[v].emplace_back(ids.size() * kBw, 0);
       ASSERT_TRUE(b.begin_read_many(ids, outs[v].back()).ok()) << at;
@@ -793,6 +1078,19 @@ void run_differential(std::uint64_t seed, int views, CachePolicy policy) {
     } else if (pick < 19) {
       ASSERT_TRUE(cache(v)->flush().ok()) << at;
       ref.flush(v);
+    } else if (pick < 21) {
+      // A sequential scan: ascending single-block sync reads.
+      const std::uint64_t len = 2 + rng.below(std::max<std::size_t>(8, kCap / 2));
+      for (std::uint64_t blk = start; blk < std::min<std::uint64_t>(start + len, size[v]);
+           ++blk) {
+        std::vector<Word> got(kBw);
+        std::vector<Blk> want;
+        const bool ok = ref.read(v, {blk}, &want);
+        ASSERT_EQ(b.read(blk, got).ok(), ok) << at << ", block " << blk;
+        if (ok) {
+          EXPECT_EQ(got, want[0]) << at << ", block " << blk;
+        }
+      }
     } else {
       size[v] = kBlocks / 2 + rng.below(kBlocks / 2 + 1);
       ASSERT_TRUE(b.resize(size[v]).ok()) << at;
@@ -810,6 +1108,9 @@ void run_differential(std::uint64_t seed, int views, CachePolicy policy) {
     ASSERT_EQ(cache(0)->cached_blocks(), ref.residents()) << at;
     if (::testing::Test::HasFailure()) return;
   }
+  std::uint64_t ahead = 0;
+  for (int v = 0; v < views; ++v) ahead += cache(v)->stats().readahead_blocks;
+  EXPECT_GT(ahead, 0u) << "the step mix never triggered a readahead";
   for (int v = 0; v < views; ++v) {
     ASSERT_TRUE(cache(v)->flush().ok());
     ref.flush(v);
@@ -833,6 +1134,16 @@ TEST(CachingBackendModel, PrivateLruCacheMatchesTheReference) {
 TEST(CachingBackendModel, SharedCoreViewsMatchTheReference) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed)
     run_differential(seed, 2, CachePolicy::kScanResistant);
+}
+
+TEST(CachingBackendModel, WideCacheReadsAheadAFullWindow) {
+  // 64 blocks: the probation share no longer binds, so a readahead fetches
+  // up to the whole 16-block window.
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    run_differential(seed, 1, CachePolicy::kScanResistant, 64, 160);
+    run_differential(seed, 2, CachePolicy::kScanResistant, 64, 160);
+    run_differential(seed, 1, CachePolicy::kLru, 64, 160);
+  }
 }
 
 TEST(CachingBackend, FlushFailureIsCountedAndLatchedInHealth) {
