@@ -5,7 +5,7 @@
 // armed with --crash-at=frames:N (the process _exits abruptly at the N-th
 // received frame, before dispatch -- a simulated kernel panic mid-request)
 // and runs a full sort round-trip against it, cycling the decorator stacks
-// {plain, sharded4, cached, encrypted_auth}.  Allowed outcomes per trial:
+// {plain, sharded4, cached}.  Allowed outcomes per trial:
 //   * the run outran the crash frame and completed with output identical to
 //     the in-memory reference, or
 //   * a clean retryable/integrity error (kIo / kTimeout / kIntegrity) --
@@ -60,14 +60,12 @@ struct StackConfig {
   const char* name;
   std::size_t shards;
   std::size_t cache_blocks;
-  bool auth_seam;
 };
 
 constexpr StackConfig kStacks[] = {
-    {"plain", 1, 0, false},
-    {"sharded4", 4, 0, false},
-    {"cached", 1, 16, false},
-    {"encrypted_auth", 1, 0, true},
+    {"plain", 1, 0},
+    {"sharded4", 4, 0},
+    {"cached", 1, 16},
 };
 
 Result<Session> build_remote(const StackConfig& cfg, const std::string& host,
@@ -81,7 +79,6 @@ Result<Session> build_remote(const StackConfig& cfg, const std::string& host,
       .io_retries(2);
   if (cfg.shards > 1) b.sharded(cfg.shards);
   if (cfg.cache_blocks > 0) b.cache(cfg.cache_blocks);
-  if (cfg.auth_seam) b.encrypted(0x5eedULL, /*authenticated=*/true);
   return b.build();
 }
 
@@ -140,7 +137,8 @@ int main(int argc, char** argv) {
 
   bench::banner("E18", "crash recovery: seeded server kills + warm restart");
   bench::note(std::to_string(trials) + " seeded kill trials (sort, " +
-              std::to_string(records) + " records) cycling 4 stacks; every "
+              std::to_string(records) + " records) cycling " +
+              std::to_string(std::size(kStacks)) + " stacks; every "
               "trial must complete identically or fail clean, and every "
               "failure must rerun identically on a fresh server");
 

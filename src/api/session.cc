@@ -135,13 +135,6 @@ Session::Builder& Session::Builder::compute_threads(std::size_t n) {
   return *this;
 }
 
-Session::Builder& Session::Builder::encrypted(Word key, bool authenticated) {
-  encrypted_ = true;
-  encrypted_auth_ = authenticated;
-  encryption_key_ = key;
-  return *this;
-}
-
 Session::Builder& Session::Builder::cache(std::size_t blocks) {
   cache_seen_ = true;
   cache_blocks_ = blocks;
@@ -293,24 +286,22 @@ Result<Session> Session::Builder::build() const {
   // Builder::cache): per-shard base stores (remote shards get their own
   // store namespace + connection; each optionally wrapped INNERMOST in a
   // TamperingBackend -- the malicious server mutates what the base store
-  // serves, so the encryption/authentication seam above it is what must
-  // catch the lie -- then optionally re-encrypted at the seam, then
-  // optionally wrapped in a FaultyBackend with its own sub-seed, so
-  // failures hit individual shards), striping, one latency model over the
-  // striped store (lanes = k, the parallel-disk model: simulated round
-  // trips to different shards overlap by construction), the write-back
-  // cache above everything that costs a round trip, async submission --
-  // async(cache(latency(sharded(faulty(encrypted(tamper(base))) x k)))).
+  // serves, so the Client's [nonce][mac] seal above the whole stack is what
+  // must catch the lie -- then optionally wrapped in a FaultyBackend with
+  // its own sub-seed, so failures hit individual shards), striping, one
+  // latency model over the striped store (lanes = k, the parallel-disk
+  // model: simulated round trips to different shards overlap by
+  // construction), the write-back cache above everything that costs a round
+  // trip, async submission -- async(cache(latency(sharded(faulty(tamper(base))
+  // x k)))).
   ShardFactory per_shard =
       [storage = storage_, file_opts = file_opts_, custom = custom_,
        host = remote_host_, port = remote_port_, store_namespace,
        shards = shards_, inject = inject_faults_, fault = fault_profile_,
        tamper = tamper_, tamper_profile = tamper_profile_,
-       encrypted = encrypted_, encrypted_auth = encrypted_auth_,
        direct = direct_io_, io_deadline = io_deadline_ms_,
-       auth_key = wire_auth_key_,
-       key = encryption_key_](std::size_t block_words,
-                              std::size_t shard) -> std::unique_ptr<StorageBackend> {
+       auth_key = wire_auth_key_](std::size_t block_words,
+                                  std::size_t shard) -> std::unique_ptr<StorageBackend> {
     BackendFactory base;
     switch (storage) {
       case Storage::kFile: {
@@ -353,7 +344,6 @@ Result<Session> Session::Builder::build() const {
           rng::mix64(tamper_profile.seed ^ (0x9e3779b97f4a7c15ULL * (shard + 1)));
       base = tampering_backend(std::move(base), p);
     }
-    if (encrypted) base = encrypted_backend(std::move(base), key, encrypted_auth);
     if (inject) {
       FaultProfile p = fault;
       p.seed = rng::mix64(fault.seed ^ (0x9e3779b97f4a7c15ULL * (shard + 1)));

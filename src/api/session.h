@@ -122,19 +122,10 @@ class Session {
     /// order, so the device trace and every ciphertext byte are identical at
     /// any thread count -- only wall time changes.
     Builder& compute_threads(std::size_t n);
-    /// Re-encrypt blocks at the backend seam (EncryptedBackend, fresh nonce
-    /// per write) so the store below -- in particular a remote server --
-    /// only ever holds ciphertext of this session's making, even for raw
-    /// uploads.  Defense in depth under the Client's own encryption.
-    /// `authenticated` adds a per-block MAC + client-side version table at
-    /// this seam too (block format [nonce][mac][cipher]): mutations and
-    /// rollbacks below surface as StatusCode::kIntegrity, which RetryPolicy
-    /// never retries -- the session fails closed.
-    Builder& encrypted(Word key, bool authenticated = false);
-    /// LRU write-back block cache of `blocks` blocks (CachingBackend):
-    /// re-touched reads are served client-side, writes are absorbed and
-    /// reach the store below only on eviction (dirty neighbors coalesced
-    /// into one batched write-back).  Needs blocks >= 1 -- cache(0) is
+    /// Write-back block cache of `blocks` blocks (CachingBackend,
+    /// CachePolicy::kScanResistant): re-touched reads are served
+    /// client-side, writes are absorbed and reach the store below only on
+    /// eviction (dirty neighbors coalesced into one batched write-back).  Needs blocks >= 1 -- cache(0) is
     /// rejected at build() (drop the call to disable).  The recorded trace
     /// is untouched (the device records above the cache); only the traffic
     /// that still reaches the wire shrinks, a function of the
@@ -144,20 +135,18 @@ class Session {
     /// exactly this order and rejects combinations that would break it:
     ///
     ///   async_prefetch          (outermost: the device drives submission)
-    ///     cache                 (above latency/sharding/encryption: a hit
-    ///                            costs no round trip, and the cache holds
-    ///                            each PLAINTEXT block exactly once -- an
-    ///                            encryption layer above the cache is
-    ///                            rejected at build()/health())
+    ///     cache                 (above latency/sharding: a hit costs no
+    ///                            round trip; it sits below the Client's
+    ///                            [nonce][mac] seal, so it holds sealed
+    ///                            blocks, never plaintext)
     ///       latency             (the simulated wire)
     ///         sharded           (striping; forwards split-phase, so depth
     ///                            and striping multiply on a remote store)
     ///           fault_injection (per-shard failures)
-    ///             encrypted     (per-shard ciphertext seam)
-    ///               tampering   (the malicious server, mutating what the
+    ///             tampering     (the malicious server, mutating what the
     ///                            base store serves -- innermost, so the
-    ///                            crypto above it is what must catch it)
-    ///                 mem | file | backend(...) | remote  (the base store)
+    ///                            Client seal above it is what must catch it)
+    ///               mem | file | backend(...) | remote  (the base store)
     Builder& cache(std::size_t blocks);
     /// Attach this session's cache layer to a cache SHARED with other
     /// sessions (make_shared_cache in extmem/io_engine.h): one scan-resistant
@@ -168,7 +157,7 @@ class Session {
     /// session's blocks live in a private key namespace -- sharing the slab
     /// never shares (or leaks) data between sessions.  Mutually exclusive
     /// with cache(); all sharing sessions must use the same block geometry
-    /// (B and encryption mode), checked at build().
+    /// (B), checked at build().
     Builder& shared_cache(SharedCacheHandle core);
     /// Wrap the (possibly striped) store in a LatencyBackend.  With
     /// sharding, the profile's `lanes` is set to the shard count: the
@@ -194,9 +183,9 @@ class Session {
     Builder& fault_injection(std::uint64_t seed, double rate);
     Builder& fault_injection(FaultProfile profile);
     /// Simulate a MALICIOUS server (TamperingBackend): each shard's base
-    /// store is wrapped innermost -- under the encryption/authentication
-    /// seam -- with a distinct per-shard sub-seed, mutating served blocks
-    /// and silently dropping writes with probability `rate`.  Every mounted
+    /// store is wrapped innermost -- directly under the Client's
+    /// authenticated seal -- with a distinct per-shard sub-seed, mutating
+    /// served blocks and silently dropping writes with probability `rate`.  Every mounted
     /// attack is either harmless (the run completes with identical output)
     /// or surfaces as StatusCode::kIntegrity through Result<T>; never a
     /// silent wrong answer, and never a retry.  rate = 0 disables.
@@ -255,9 +244,6 @@ class Session {
     FaultProfile fault_profile_;
     bool tamper_ = false;
     TamperProfile tamper_profile_;
-    bool encrypted_ = false;
-    bool encrypted_auth_ = false;
-    Word encryption_key_ = 0;
     bool cache_seen_ = false;
     std::size_t cache_blocks_ = 0;
     SharedCacheHandle shared_cache_;

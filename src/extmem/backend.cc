@@ -12,12 +12,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <random>
 #include <thread>
 
-#include "extmem/encryption.h"
-#include "extmem/io_engine.h"
-#include "rng/random.h"
 
 namespace oem {
 
@@ -25,23 +21,6 @@ namespace {
 
 std::string errno_string(const char* what, const std::string& path) {
   return std::string(what) + " '" + path + "': " + std::strerror(errno);
-}
-
-/// True when a CachingBackend lives anywhere in the decorator chain under
-/// `b`, for EncryptedBackend's stack-order guard.  Walks the generic
-/// inner_backend() chain (every decorator overrides it) and fans out over
-/// the shards of a stripe.
-bool contains_cache(const StorageBackend* b) {
-  while (b != nullptr) {
-    if (dynamic_cast<const CachingBackend*>(b) != nullptr) return true;
-    if (const auto* s = dynamic_cast<const ShardedBackend*>(b)) {
-      for (std::size_t i = 0; i < s->num_shards(); ++i)
-        if (contains_cache(&s->shard(i))) return true;
-      return false;
-    }
-    b = b->inner_backend();
-  }
-  return false;
 }
 
 }  // namespace
@@ -357,185 +336,6 @@ Status LatencyBackend::do_write_many(std::span<const std::uint64_t> blocks,
 }
 
 // ---------------------------------------------------------------------------
-// EncryptedBackend.
-
-EncryptedBackend::EncryptedBackend(std::size_t block_words,
-                                   std::unique_ptr<StorageBackend> inner, Word key,
-                                   bool authenticated)
-    : StorageBackend(block_words),
-      inner_(std::move(inner)),
-      authenticated_(authenticated) {
-  assert(inner_ && inner_->block_words() == block_words + header_words());
-  // Stack-order validation (see health()): a cache ANYWHERE below the
-  // encryption seam would hold ciphertext, not plaintext -- walk the whole
-  // decorator chain, intervening decorators included.
-  if (contains_cache(inner_.get()))
-    init_status_ = Status::InvalidArgument(
-        "decorator stack mis-ordered: the block cache must sit ABOVE "
-        "encryption (cache(encrypted(store))), so it holds each plaintext "
-        "block exactly once");
-  // Distinct per-instance nonce streams: two shards wrapping the same key
-  // must never reuse a (block, nonce) pair for different plaintexts.  The
-  // per-process entropy matters too -- a deterministic stream would repeat
-  // the same nonces after a client restart against a PERSISTENT remote
-  // store, handing Bob an XOR of old and new plaintext for rewritten
-  // blocks.  Nonces are not part of any reproducibility contract (the
-  // Client's own Encryptor draws per-session), so real randomness is free.
-  static std::atomic<std::uint64_t> instance{0};
-  static const std::uint64_t process_entropy = [] {
-    std::random_device rd;
-    return (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
-  }();
-  enc_ = std::make_unique<Encryptor>(
-      key, rng::mix64(key ^ process_entropy ^
-                      (0xd1b54a32d192ed03ULL *
-                       (instance.fetch_add(1, std::memory_order_relaxed) + 1))));
-  staging_.resize(block_words + header_words());
-}
-
-EncryptedBackend::~EncryptedBackend() = default;
-
-Status EncryptedBackend::do_resize(std::uint64_t nblocks) {
-  OEM_RETURN_IF_ERROR(inner_->resize(nblocks));
-  // The version table follows the inner capacity: shrinking drops history
-  // (the inner store re-zeroes a regrown block, so the expectation must
-  // reset to "never written" with it).
-  if (authenticated_) versions_.resize(nblocks, 0);
-  return Status::Ok();
-}
-
-Word EncryptedBackend::fresh_nonce() {
-  Word nonce = enc_->fresh_nonce();
-  while (nonce == 0) nonce = enc_->fresh_nonce();  // 0 marks "never written"
-  return nonce;
-}
-
-void EncryptedBackend::seal(std::uint64_t block, std::span<const Word> plain,
-                            std::span<Word> sealed) {
-  const std::size_t hdr = header_words();
-  sealed[0] = fresh_nonce();
-  std::copy(plain.begin(), plain.end(), sealed.begin() + hdr);
-  enc_->apply_keystream(block, sealed[0], sealed.subspan(hdr));
-  if (authenticated_) {
-    if (block >= versions_.size()) versions_.resize(block + 1, 0);
-    sealed[1] = enc_->mac(block, sealed[0], ++versions_[block], sealed.subspan(hdr));
-  }
-}
-
-Status EncryptedBackend::open(std::uint64_t block,
-                              std::span<Word> sealed_to_plain) const {
-  // A zero nonce is an inner block no write ever touched (fresh/shrunk-away
-  // storage reads as zero); its plaintext is all-zero words by contract.
-  const std::size_t hdr = header_words();
-  const Word nonce = sealed_to_plain[0];
-  if (authenticated_) {
-    const std::span<const Word> cipher = sealed_to_plain.subspan(hdr);
-    const std::uint64_t version = block < versions_.size() ? versions_[block] : 0;
-    bool ok;
-    if (version == 0) {
-      // Never sealed by this client: only the all-zero fresh block is
-      // acceptable; any other bytes were fabricated by the server.
-      ok = nonce == 0 && sealed_to_plain[1] == 0 &&
-           std::all_of(cipher.begin(), cipher.end(), [](Word x) { return x == 0; });
-    } else {
-      ok = sealed_to_plain[1] == enc_->mac(block, nonce, version, cipher);
-    }
-    if (!ok) {
-      // Zero the output so tampered bytes cannot leak past an ignored error.
-      std::fill(sealed_to_plain.begin(), sealed_to_plain.end(), Word{0});
-      return Status::Integrity(
-          "block " + std::to_string(block) +
-          " failed authentication (tampered, swapped, or rolled back); "
-          "version " + std::to_string(version));
-    }
-  }
-  if (nonce != 0) enc_->apply_keystream(block, nonce, sealed_to_plain.subspan(hdr));
-  std::copy(sealed_to_plain.begin() + static_cast<std::ptrdiff_t>(hdr),
-            sealed_to_plain.end(), sealed_to_plain.begin());
-  return Status::Ok();
-}
-
-Status EncryptedBackend::do_read(std::uint64_t block, std::span<Word> out) {
-  const std::uint64_t ids[1] = {block};
-  return do_read_many(std::span<const std::uint64_t>(ids, 1), out);
-}
-
-Status EncryptedBackend::do_write(std::uint64_t block, std::span<const Word> in) {
-  const std::uint64_t ids[1] = {block};
-  return do_write_many(std::span<const std::uint64_t>(ids, 1), in);
-}
-
-Status EncryptedBackend::do_read_many(std::span<const std::uint64_t> blocks,
-                                      std::span<Word> out) {
-  const std::size_t bw = block_words(), ibw = bw + header_words();
-  staging_.resize(blocks.size() * ibw);
-  OEM_RETURN_IF_ERROR(inner_->read_many(blocks, staging_));
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    std::span<Word> sealed(staging_.data() + i * ibw, ibw);
-    OEM_RETURN_IF_ERROR(open(blocks[i], sealed));
-    std::copy_n(sealed.begin(), bw, out.begin() + i * bw);
-  }
-  return Status::Ok();
-}
-
-Status EncryptedBackend::do_write_many(std::span<const std::uint64_t> blocks,
-                                       std::span<const Word> in) {
-  const std::size_t bw = block_words(), ibw = bw + header_words();
-  staging_.resize(blocks.size() * ibw);
-  for (std::size_t i = 0; i < blocks.size(); ++i)
-    seal(blocks[i], in.subspan(i * bw, bw),
-         std::span<Word>(staging_.data() + i * ibw, ibw));
-  return inner_->write_many(blocks, staging_);
-}
-
-Status EncryptedBackend::do_begin_read_many(std::span<const std::uint64_t> blocks,
-                                            std::span<Word> out) {
-  Pending p;
-  p.is_write = false;
-  p.blocks.assign(blocks.begin(), blocks.end());
-  p.staging.resize(blocks.size() * (block_words() + header_words()));
-  p.dest = out.data();
-  Status st = inner_->begin_read_many(p.blocks, p.staging);
-  if (st.ok()) pending_.push_back(std::move(p));
-  return st;
-}
-
-Status EncryptedBackend::do_begin_write_many(std::span<const std::uint64_t> blocks,
-                                             std::span<const Word> in) {
-  const std::size_t bw = block_words(), ibw = bw + header_words();
-  Pending p;
-  p.is_write = true;
-  p.blocks.assign(blocks.begin(), blocks.end());
-  p.staging.resize(blocks.size() * ibw);
-  for (std::size_t i = 0; i < blocks.size(); ++i)
-    seal(blocks[i], in.subspan(i * bw, bw),
-         std::span<Word>(p.staging.data() + i * ibw, ibw));
-  // The sealed staging must outlive the wire transfer (an inner
-  // RemoteBackend only borrows the buffer until its frame is sent, but a
-  // default-synchronous inner consumes it right here either way).
-  Status st = inner_->begin_write_many(p.blocks, p.staging);
-  if (st.ok()) pending_.push_back(std::move(p));
-  return st;
-}
-
-Status EncryptedBackend::do_complete_oldest() {
-  if (pending_.empty()) return inner_->complete_oldest();
-  Pending p = std::move(pending_.front());
-  pending_.pop_front();
-  Status st = inner_->complete_oldest();
-  if (st.ok() && !p.is_write) {
-    const std::size_t bw = block_words(), ibw = bw + header_words();
-    for (std::size_t i = 0; i < p.blocks.size(); ++i) {
-      std::span<Word> sealed(p.staging.data() + i * ibw, ibw);
-      st.Update(open(p.blocks[i], sealed));
-      if (!st.ok()) break;
-      std::copy_n(sealed.begin(), bw, p.dest + i * bw);
-    }
-  }
-  return st;
-}
-
-// ---------------------------------------------------------------------------
 // Factories.
 
 BackendFactory mem_backend() {
@@ -553,17 +353,6 @@ BackendFactory latency_backend(BackendFactory inner, LatencyProfile profile) {
              -> std::unique_ptr<StorageBackend> {
     auto base = inner ? inner(block_words) : std::make_unique<MemBackend>(block_words);
     return std::make_unique<LatencyBackend>(std::move(base), profile);
-  };
-}
-
-BackendFactory encrypted_backend(BackendFactory inner, Word key, bool authenticated) {
-  return [inner = std::move(inner), key, authenticated](std::size_t block_words)
-             -> std::unique_ptr<StorageBackend> {
-    const std::size_t hdr = authenticated ? 2 : 1;
-    auto base = inner ? inner(block_words + hdr)
-                      : std::make_unique<MemBackend>(block_words + hdr);
-    return std::make_unique<EncryptedBackend>(block_words, std::move(base), key,
-                                              authenticated);
   };
 }
 

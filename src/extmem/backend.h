@@ -376,100 +376,6 @@ class LatencyBackend : public StorageBackend {
 };
 
 // ---------------------------------------------------------------------------
-// EncryptedBackend: decorator keeping the store below it ciphertext-only.
-
-class Encryptor;  // extmem/encryption.h
-
-/// Re-encrypts every block at the StorageBackend seam with its own key and a
-/// fresh nonce per write, so whatever store sits below -- in particular a
-/// RemoteBackend's server -- only ever holds ciphertext, and rewriting the
-/// same plaintext yields unrelated bytes.  The Client already encrypts at the
-/// protocol layer; this is defense in depth for the backend stack itself
-/// (raw-path writes, benches driving backends directly, a remote server that
-/// must hold nothing decryptable).  Each stored block grows by one word (the
-/// nonce header), so the inner backend is created with block_words + 1.
-///
-/// In *authenticated* mode (the malicious-server threat model) each stored
-/// block additionally carries a MAC word binding (ciphertext, block index,
-/// nonce, per-block version counter); the version table lives in this
-/// decorator, client-side, never below it.  A bit-flip, block swap, or
-/// rollback to a stale ciphertext then fails the read with
-/// StatusCode::kIntegrity -- which BlockDevice::with_retry never retries and
-/// BlockDevice::backend_fail surfaces as IntegrityError (fail closed).  The
-/// inner backend is then created with block_words + 2.
-class EncryptedBackend : public StorageBackend {
- public:
-  /// `inner` must have block_words() == block_words + header_words()
-  /// (1 unauthenticated, 2 authenticated).
-  EncryptedBackend(std::size_t block_words, std::unique_ptr<StorageBackend> inner,
-                   Word key, bool authenticated = false);
-  ~EncryptedBackend() override;
-  const char* name() const override { return "encrypted"; }
-  /// Non-ok when the decorator stack is mis-ordered: a CachingBackend BELOW
-  /// this layer would cache ciphertext (and re-encrypt on every eviction
-  /// pass), defeating the hold-plaintext-exactly-once contract -- the cache
-  /// must sit above encryption.  Surfaced here so Session::Builder::build
-  /// (which probes health) rejects the stack instead of running it.
-  Status health() const override {
-    return init_status_.ok() ? inner_->health() : init_status_;
-  }
-
-  StorageBackend& inner() { return *inner_; }
-  const StorageBackend& inner() const { return *inner_; }
-  const StorageBackend* inner_backend() const override { return inner_.get(); }
-  Status flush() override { return inner_->flush(); }
-
-  bool authenticated() const { return authenticated_; }
-  /// Header words prepended to every inner block: [nonce] or [nonce][mac].
-  std::size_t header_words() const { return authenticated_ ? 2 : 1; }
-
- protected:
-  Status do_resize(std::uint64_t nblocks) override;
-  Status do_read(std::uint64_t block, std::span<Word> out) override;
-  Status do_write(std::uint64_t block, std::span<const Word> in) override;
-  Status do_read_many(std::span<const std::uint64_t> blocks, std::span<Word> out) override;
-  Status do_write_many(std::span<const std::uint64_t> blocks,
-                       std::span<const Word> in) override;
-  /// Split-phase forwarding: encryption happens at begin (writes) /
-  /// completion (reads) in this decorator's staging buffers, so an inner
-  /// RemoteBackend keeps its wire pipelining through the encryption layer.
-  std::size_t do_max_inflight() const override { return inner_->max_inflight(); }
-  Status do_begin_read_many(std::span<const std::uint64_t> blocks,
-                            std::span<Word> out) override;
-  Status do_begin_write_many(std::span<const std::uint64_t> blocks,
-                             std::span<const Word> in) override;
-  Status do_complete_oldest() override;
-
- private:
-  /// Draws a nonzero nonce (0 marks a never-written inner block, which must
-  /// keep reading back as all-zero plaintext).
-  Word fresh_nonce();
-  void seal(std::uint64_t block, std::span<const Word> plain, std::span<Word> sealed);
-  /// Verifies (authenticated mode) then decrypts in place; the plaintext ends
-  /// up left-aligned in `sealed_to_plain`.  kIntegrity on a failed check.
-  Status open(std::uint64_t block, std::span<Word> sealed_to_plain) const;
-
-  /// One outstanding split-phase op's staging (inner-sized blocks).
-  struct Pending {
-    bool is_write = false;
-    std::vector<std::uint64_t> blocks;
-    std::vector<Word> staging;
-    Word* dest = nullptr;  // reads: caller's plaintext destination
-  };
-
-  std::unique_ptr<StorageBackend> inner_;
-  std::unique_ptr<Encryptor> enc_;
-  bool authenticated_ = false;
-  Status init_status_;         // non-ok: mis-ordered stack (cache below)
-  std::vector<Word> staging_;  // reused synchronous transfer buffer
-  std::deque<Pending> pending_;
-  /// Client-side anti-rollback table (authenticated mode): versions_[b] is
-  /// how many times block b was sealed; follows resize like the inner store
-  /// (a shrunk-then-regrown block is never-written again on both sides).
-  std::vector<std::uint64_t> versions_;
-};
-
-// ---------------------------------------------------------------------------
 // Factory helpers.
 
 BackendFactory mem_backend();
@@ -479,12 +385,5 @@ BackendFactory file_backend(FileBackendOptions opts = {});
 BackendFactory direct_file_backend(DirectFileOptions opts = {});
 /// Wrap the backend produced by `inner` (null = mem) in a LatencyBackend.
 BackendFactory latency_backend(BackendFactory inner, LatencyProfile profile);
-/// Wrap the backend produced by `inner` (null = mem) in an EncryptedBackend;
-/// `inner` is built one word wider to hold the nonce header.  With
-/// `authenticated` set, two words wider ([nonce][mac]) and every read is
-/// verified against a client-side version table (kIntegrity on tampering or
-/// rollback -- the malicious-server threat model; see docs/THREAT_MODEL.md).
-BackendFactory encrypted_backend(BackendFactory inner, Word key,
-                                 bool authenticated = false);
 
 }  // namespace oem

@@ -20,15 +20,16 @@
 //     borrow that span end-to-end (no staging memcpy); only strided slices
 //     pay a gather/scatter copy.
 //
-//   * CachingBackend -- an LRU write-back block cache decorator.  Writes are
+//   * CachingBackend -- a write-back block cache decorator (scan-resistant
+//     by default, see CachePolicy).  Writes are
 //     absorbed in the cache (dirty blocks reach the store below only on
 //     eviction or flush, with dirty neighbors coalesced into one batched
 //     write-back frame), re-touched reads are served without an inner op,
 //     misses forward the split-phase face so a cache over a remote store
 //     keeps its wire pipelining, and a synchronous single-block miss that
 //     continues an ascending stream reads the next blocks ahead in the
-//     same inner frame.  Sits ABOVE encryption (it must hold
-//     each plaintext block exactly once) and ABOVE latency/sharding (a hit
+//     same inner frame.  Sits BELOW the Client's [nonce][mac] seal (it holds
+//     sealed blocks, never plaintext) and ABOVE latency/sharding (a hit
 //     must cost no simulated round trip); Session::Builder::cache composes
 //     it there.  The BlockDevice records the trace at submit time ABOVE
 //     this decorator, so Bob's recorded view is unchanged -- the cache only
@@ -47,7 +48,7 @@
 //     overlap.  Session::Builder and bench_common always compose it last.
 //
 //     When the inner backend supports split-phase I/O (max_inflight() > 1 --
-//     a RemoteBackend, possibly under an EncryptedBackend), the I/O thread
+//     a RemoteBackend, possibly under sharding or a cache), the I/O thread
 //     keeps up to that many ops begun-but-incomplete at once instead of
 //     waiting out each round trip: requests stream onto the wire and
 //     responses are completed strictly in submission order, so the FIFO
@@ -437,12 +438,12 @@ struct TamperProfile {
 };
 
 /// Decorator mounting the TamperProfile's attacks behind the StorageBackend
-/// seam.  Compose it INNERMOST (directly over the base store, UNDER
-/// EncryptedBackend/Client crypto), where the paper's malicious Bob lives:
-/// it mutates ciphertext at rest / in flight, and the authenticated
-/// encryption layer above must convert every mutation into a clean
-/// StatusCode::kIntegrity failure -- never silent corruption, and never a
-/// retry (RetryPolicy only retries kIo).  Session::Builder::tampering wraps
+/// seam.  Compose it INNERMOST (directly over the base store, UNDER the
+/// Client's [nonce][mac] seal), where the paper's malicious Bob lives: it
+/// mutates ciphertext at rest / in flight, and the Client's verification
+/// above must convert every mutation into a clean IntegrityError
+/// (StatusCode::kIntegrity through the Session facade) -- never silent
+/// corruption, and never a retry (RetryPolicy only retries kIo).  Session::Builder::tampering wraps
 /// each shard's base store with a distinct sub-seed, like fault_injection.
 ///
 /// The split-phase face is forwarded; read mutations are applied at
@@ -690,10 +691,10 @@ SharedCacheHandle make_shared_cache(std::size_t capacity_blocks,
 /// sits below the BlockDevice recorder and depends only on the block-id
 /// sequence and residency, never on block contents.
 ///
-/// Placement (Session::Builder::cache enforces this order): ABOVE encryption
-/// (the cache must hold each plaintext block exactly once -- an
-/// EncryptedBackend over a CachingBackend is rejected at health()) and above
-/// latency/sharding/remote, so a hit costs no round trip, simulated or real.
+/// Placement (Session::Builder::cache enforces this order): below the
+/// Client's [nonce][mac] seal (the cache holds sealed blocks, exactly as the
+/// store below would) and above latency/sharding/remote, so a hit costs no
+/// round trip, simulated or real.
 /// `capacity_blocks` must be >= 1; 0 is rejected at health().
 ///
 /// Failure semantics: writes are atomic-by-rejection like every other
@@ -941,16 +942,16 @@ BackendFactory async_backend(BackendFactory inner);
 BackendFactory faulty_backend(BackendFactory inner, FaultProfile profile);
 
 /// Wrap the backend produced by `inner` (null = mem) in a TamperingBackend.
-/// Compose INNERMOST -- directly over each shard's base store, UNDER
-/// encryption -- so the simulated malicious server mutates ciphertext, and
-/// the authentication layer above is what must catch it.
+/// Compose INNERMOST -- directly over each shard's base store, UNDER the
+/// Client seal -- so the simulated malicious server mutates ciphertext, and
+/// the Client's MAC + version check is what must catch it.
 /// Session::Builder::tampering does that and derives per-shard sub-seeds.
 BackendFactory tampering_backend(BackendFactory inner, TamperProfile profile);
 
 /// Wrap the backend produced by `inner` (null = mem) in a CachingBackend of
 /// `capacity_blocks` blocks (private core; scan-resistant by default, pass
 /// CachePolicy::kLru for the v1 single-list baseline).  Compose ABOVE
-/// sharding/latency/encryption and UNDER async_backend;
+/// sharding/latency and UNDER async_backend;
 /// Session::Builder::cache does exactly that.
 BackendFactory caching_backend(BackendFactory inner, std::size_t capacity_blocks,
                                CachePolicy policy = CachePolicy::kScanResistant);

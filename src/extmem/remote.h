@@ -10,7 +10,7 @@
 // oem-server binary -- lives in server/server.h.
 //
 // RemoteBackend composes under the existing ShardedBackend/AsyncBackend/
-// FaultyBackend/EncryptedBackend stack unchanged: per-shard connections,
+// FaultyBackend/CachingBackend stack unchanged: per-shard connections,
 // prefetch, fault injection and the BlockDevice RetryPolicy all apply.  A
 // dropped connection surfaces as StatusCode::kIo and the next attempt
 // reconnects, so the device's bounded retries recover transparently.  When

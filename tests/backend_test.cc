@@ -92,26 +92,16 @@ std::vector<BackendCase> conformance_cases() {
       {"sharded4_latency", sharded_backend(latency_backend(mem_backend(), fast_profile()), 4)},
       {"async_mem", async_backend(mem_backend())},
       {"async_sharded4", async_backend(sharded_backend(mem_backend(), 4))},
-      {"encrypted_mem", encrypted_backend(mem_backend(), 0x5eedULL)},
-      {"sharded4_encrypted", sharded_backend(encrypted_backend(mem_backend(), 0x5eedULL), 4)},
       {"cache_mem", caching_backend(mem_backend(), 8)},
       // A 2-block cache evicts on nearly every batch: the write-back and
       // shrink/regrow paths run constantly under the conformance contract.
       {"cache_tiny", caching_backend(mem_backend(), 2)},
-      {"cache_sharded4_encrypted",
-       caching_backend(sharded_backend(encrypted_backend(mem_backend(), 0x5eedULL), 4), 6)},
+      {"cache_sharded4", caching_backend(sharded_backend(mem_backend(), 4), 6)},
       {"async_cache_sharded4",
        async_backend(caching_backend(sharded_backend(mem_backend(), 4), 8))},
-      // Authenticated encryption at the backend seam: MAC + version table per
-      // block, alone, striped (per-shard version tables), and over the wire
-      // under a write-back cache.
-      {"auth_mem", encrypted_backend(mem_backend(), 0x5eedULL, /*authenticated=*/true)},
-      {"auth_sharded4",
-       sharded_backend(encrypted_backend(mem_backend(), 0x5eedULL, /*authenticated=*/true), 4)},
-      {"auth_cache_remote",
-       caching_backend(encrypted_backend(remote_conformance_backend(), 0x5eedULL,
-                                         /*authenticated=*/true),
-                       6)},
+      // A write-back cache over the wire: split-phase misses and eviction
+      // write-backs become pipelined remote frames.
+      {"cache_remote", caching_backend(remote_conformance_backend(), 6)},
       // io_uring + O_DIRECT path (falls back to the threaded engine on
       // kernels/filesystems that refuse; conformance must hold either way).
       {"direct_file", direct_file_backend()},
@@ -218,7 +208,8 @@ TEST_P(BackendConformance, RejectsBadArguments) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendConformance,
-                         ::testing::Range(0, 21), [](const auto& info) {
+                         ::testing::Range(0, static_cast<int>(conformance_cases().size())),
+                         [](const auto& info) {
                            return conformance_cases()[info.param].name;
                          });
 

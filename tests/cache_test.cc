@@ -1,8 +1,7 @@
-// CachingBackend suite: LRU write-back semantics (hits absorb inner ops,
+// CachingBackend suite: write-back semantics (hits absorb inner ops,
 // writes reach the store below only on eviction or flush, dirty neighbors
 // coalesce into one batched write-back), split-phase forwarding over a
-// remote store, stack-order validation (the cache must sit above
-// encryption), and the Session::Builder::cache validation satellites.
+// remote store, and the Session::Builder::cache validation satellites.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -168,16 +167,6 @@ TEST(CachingBackend, CapacityZeroIsRejectedAtHealth) {
   EXPECT_EQ(backend->health().code(), StatusCode::kInvalidArgument);
   std::vector<Word> out(kBw);
   EXPECT_FALSE(backend->resize(4).ok()) << "an unhealthy backend must fail every op";
-}
-
-TEST(CachingBackend, EncryptionAboveTheCacheIsRejected) {
-  // Wrong order: encrypted(cache(mem)) would cache ciphertext.  The health
-  // probe rejects it, which is also what Session::Builder::build surfaces.
-  auto backend = encrypted_backend(caching_backend(mem_backend(), 8), 0x5eedULL)(kBw);
-  EXPECT_EQ(backend->health().code(), StatusCode::kInvalidArgument);
-  // Right order: cache(encrypted(mem)) holds plaintext exactly once.
-  auto good = caching_backend(encrypted_backend(mem_backend(), 0x5eedULL), 8)(kBw);
-  EXPECT_TRUE(good->health().ok()) << good->health();
 }
 
 TEST(CachingBackend, SplitPhaseForwardsMissesAndAbsorbsHitsOverRemote) {
@@ -1204,11 +1193,10 @@ TEST(SessionBuilderCache, RejectsCacheZero) {
   EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(SessionBuilderCache, ComposesAboveEncryptionAndBuilds) {
+TEST(SessionBuilderCache, ComposesAndBuilds) {
   auto built = Session::Builder()
                    .block_records(4)
                    .cache_records(64)
-                   .encrypted(0x5eedULL)
                    .cache(16)
                    .sharded(2)
                    .async_prefetch(true)
@@ -1223,18 +1211,6 @@ TEST(SessionBuilderCache, ComposesAboveEncryptionAndBuilds) {
   ASSERT_TRUE(out.ok());
   for (std::size_t i = 1; i < out->size(); ++i)
     EXPECT_LE((*out)[i - 1].key, (*out)[i].key);
-}
-
-TEST(SessionBuilderCache, MisorderedCustomStackIsRejectedAtBuild) {
-  // A custom backend() factory that buries a cache UNDER encryption is the
-  // one way to mis-order the stack; build() probes health and refuses.
-  auto built = Session::Builder()
-                   .block_records(4)
-                   .cache_records(64)
-                   .backend(encrypted_backend(caching_backend(nullptr, 8), 0x5eedULL))
-                   .build();
-  ASSERT_FALSE(built.ok());
-  EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -13,11 +13,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
 #include "api/session.h"
 #include "extmem/backend.h"
+#include "extmem/client.h"
 #include "extmem/device.h"
 #include "extmem/encryption.h"
 #include "extmem/io_engine.h"
@@ -166,102 +168,136 @@ TEST(TamperingBackend, SplitPhaseDropsAtBeginAndMutatesAtCompletion) {
 }
 
 // ---------------------------------------------------------------------------
-// EncryptedBackend in authenticated mode: every attack class becomes a clean
-// kIntegrity at the read that observes it.
+// The Client's [nonce][mac] seal: every attack class on a stored block
+// becomes a clean IntegrityError at the read that observes it.  The attacks
+// mutate the stored words through the raw backend, below the device's
+// counters and trace -- exactly where a malicious server sits.
 
-constexpr std::size_t kAuthBw = 4;
+constexpr std::size_t kSealB = 2;  // records per block
 
-std::unique_ptr<StorageBackend> auth_backend_over_mem(EncryptedBackend** out) {
-  auto backend = encrypted_backend(mem_backend(), 0x5eedULL,
-                                   /*authenticated=*/true)(kAuthBw);
-  *out = dynamic_cast<EncryptedBackend*>(backend.get());
-  return backend;
+std::unique_ptr<Client> sealed_client(BackendFactory backend = mem_backend()) {
+  ClientParams p = test::params(kSealB, 64, /*seed=*/3);
+  p.backend = std::move(backend);
+  return std::make_unique<Client>(p);
 }
 
-TEST(AuthenticatedBackend, RoundTripsAndServesNeverWrittenAsZero) {
-  EncryptedBackend* enc = nullptr;
-  auto backend = auth_backend_over_mem(&enc);
-  ASSERT_NE(enc, nullptr);
-  EXPECT_EQ(enc->header_words(), 2u);  // [nonce][mac]
-  ASSERT_TRUE(backend->resize(4).ok());
-  std::vector<Word> out(kAuthBw, 7);
-  ASSERT_TRUE(backend->read(1, out).ok());
-  EXPECT_EQ(out, std::vector<Word>(kAuthBw, 0)) << "never-written reads as zero";
-  const std::vector<Word> data = {10, 20, 30, 40};
-  ASSERT_TRUE(backend->write(1, data).ok());
-  ASSERT_TRUE(backend->read(1, out).ok());
-  EXPECT_EQ(out, data);
+BlockBuf block_of(Word x) { return BlockBuf(kSealB, Record{x, x + 1}); }
+
+const BlockBuf kZeroBlock(kSealB, Record{0, 0});
+
+std::vector<Word> stored(Client& c, std::uint64_t dev_blk) {
+  std::vector<Word> raw(c.device().block_words());
+  EXPECT_TRUE(c.device().backend().read(dev_blk, raw).ok());
+  return raw;
 }
 
-TEST(AuthenticatedBackend, BitFlipInStoredCiphertextIsIntegrity) {
-  EncryptedBackend* enc = nullptr;
-  auto backend = auth_backend_over_mem(&enc);
-  ASSERT_TRUE(backend->resize(4).ok());
-  ASSERT_TRUE(backend->write(0, std::vector<Word>{1, 2, 3, 4}).ok());
+void store(Client& c, std::uint64_t dev_blk, const std::vector<Word>& raw) {
+  EXPECT_TRUE(c.device().backend().write(dev_blk, raw).ok());
+}
+
+TEST(ClientSeal, NeverWrittenReadsAsZeroAndFabricatedBytesFail) {
+  auto c = sealed_client();
+  const ExtArray a = c->alloc_blocks(4, Client::Init::kUninit);
+  BlockBuf out;
+  c->read_block(a, 1, out);
+  EXPECT_EQ(out, kZeroBlock) << "never-written reads as zero";
+  // The client never sealed this block (version 0): any nonzero stored word,
+  // header or payload, was fabricated by the server.
+  const std::uint64_t blk = a.device_block(1);
+  const std::vector<Word> fresh = stored(*c, blk);
+  for (std::size_t w = 0; w < fresh.size(); ++w) {
+    std::vector<Word> raw = fresh;
+    raw[w] = 0x5eed;
+    store(*c, blk, raw);
+    EXPECT_THROW(c->read_block(a, 1, out), IntegrityError)
+        << "fabricated stored word " << w << " went undetected";
+    EXPECT_EQ(out, kZeroBlock) << "tampered bytes leaked past the failure";
+  }
+}
+
+TEST(ClientSeal, BitFlipInAnyStoredWordFails) {
+  auto c = sealed_client();
+  const ExtArray a = c->alloc_blocks(4, Client::Init::kUninit);
+  c->write_block(a, 0, block_of(1));
+  const std::uint64_t blk = a.device_block(0);
   // Flip one bit of each stored word in turn -- header or payload, any
   // single-bit mutation must be caught.
-  const std::size_t stored = kAuthBw + enc->header_words();
-  for (std::size_t w = 0; w < stored; ++w) {
-    std::vector<Word> raw(stored);
-    ASSERT_TRUE(enc->inner().read(0, raw).ok());
+  const std::vector<Word> sealed = stored(*c, blk);
+  BlockBuf out;
+  for (std::size_t w = 0; w < sealed.size(); ++w) {
+    std::vector<Word> raw = sealed;
     raw[w] ^= Word{1} << (w % 64);
-    ASSERT_TRUE(enc->inner().write(0, raw).ok());
-    std::vector<Word> out(kAuthBw);
-    EXPECT_EQ(backend->read(0, out).code(), StatusCode::kIntegrity)
+    store(*c, blk, raw);
+    EXPECT_THROW(c->read_block(a, 0, out), IntegrityError)
         << "flip in stored word " << w << " went undetected";
-    raw[w] ^= Word{1} << (w % 64);  // restore for the next round
-    ASSERT_TRUE(enc->inner().write(0, raw).ok());
   }
-  std::vector<Word> out(kAuthBw);
-  EXPECT_TRUE(backend->read(0, out).ok()) << "restored block must verify again";
+  store(*c, blk, sealed);
+  c->read_block(a, 0, out);
+  EXPECT_EQ(out, block_of(1)) << "the restored block must verify again";
 }
 
-TEST(AuthenticatedBackend, ReplayOfAStaleSnapshotIsIntegrity) {
+TEST(ClientSeal, ReplayOfAStaleSnapshotFails) {
   // The rollback attack: Bob serves an old (ciphertext, nonce, MAC) triple
-  // that was once valid.  Only the client-side version counter folded into
-  // the tag can catch it.
-  EncryptedBackend* enc = nullptr;
-  auto backend = auth_backend_over_mem(&enc);
-  ASSERT_TRUE(backend->resize(4).ok());
-  ASSERT_TRUE(backend->write(2, std::vector<Word>{5, 5, 5, 5}).ok());
-  const std::size_t stored = kAuthBw + enc->header_words();
-  std::vector<Word> snapshot(stored);
-  ASSERT_TRUE(enc->inner().read(2, snapshot).ok());  // valid at version 1
-  ASSERT_TRUE(backend->write(2, std::vector<Word>{6, 6, 6, 6}).ok());
-  ASSERT_TRUE(enc->inner().write(2, snapshot).ok());  // roll back to v1
-  std::vector<Word> out(kAuthBw);
-  EXPECT_EQ(backend->read(2, out).code(), StatusCode::kIntegrity)
+  // that was once valid.  Only the client-side version folded into the tag
+  // can catch it.
+  auto c = sealed_client();
+  const ExtArray a = c->alloc_blocks(4, Client::Init::kUninit);
+  c->write_block(a, 2, block_of(5));
+  const std::uint64_t blk = a.device_block(2);
+  const std::vector<Word> snapshot = stored(*c, blk);  // valid at version 1
+  c->write_block(a, 2, block_of(6));
+  store(*c, blk, snapshot);  // roll back to version 1
+  BlockBuf out;
+  EXPECT_THROW(c->read_block(a, 2, out), IntegrityError)
       << "a replayed stale-but-once-valid block must fail freshness";
 }
 
-TEST(AuthenticatedBackend, DroppedWriteIsIntegrityOnReadBack) {
-  // Rollback via TamperingBackend underneath: the write is ACKed but never
-  // lands, so the store still holds the never-written sentinel while the
-  // client-side version table says "sealed once".
-  auto backend = encrypted_backend(
-      tampering_backend(mem_backend(), rollback_only(11, 1.0)), 0x5eedULL,
-      /*authenticated=*/true)(kAuthBw);
-  ASSERT_TRUE(backend->resize(4).ok());
-  ASSERT_TRUE(backend->write(0, std::vector<Word>{9, 9, 9, 9}).ok());
-  std::vector<Word> out(kAuthBw);
-  EXPECT_EQ(backend->read(0, out).code(), StatusCode::kIntegrity);
-}
-
-TEST(AuthenticatedBackend, BlockTransplantIsIntegrity) {
+TEST(ClientSeal, BlockTransplantFails) {
   // Bob serves block 0's (valid!) sealed bytes for block 1: the index baked
   // into the tag catches the transplant.
-  EncryptedBackend* enc = nullptr;
-  auto backend = auth_backend_over_mem(&enc);
-  ASSERT_TRUE(backend->resize(4).ok());
-  ASSERT_TRUE(backend->write(0, std::vector<Word>{1, 1, 1, 1}).ok());
-  ASSERT_TRUE(backend->write(1, std::vector<Word>{2, 2, 2, 2}).ok());
-  const std::size_t stored = kAuthBw + enc->header_words();
-  std::vector<Word> raw(stored);
-  ASSERT_TRUE(enc->inner().read(0, raw).ok());
-  ASSERT_TRUE(enc->inner().write(1, raw).ok());
-  std::vector<Word> out(kAuthBw);
-  EXPECT_EQ(backend->read(1, out).code(), StatusCode::kIntegrity);
-  EXPECT_TRUE(backend->read(0, out).ok()) << "the untouched block still verifies";
+  auto c = sealed_client();
+  const ExtArray a = c->alloc_blocks(4, Client::Init::kUninit);
+  c->write_block(a, 0, block_of(1));
+  c->write_block(a, 1, block_of(2));
+  store(*c, a.device_block(1), stored(*c, a.device_block(0)));
+  BlockBuf out;
+  EXPECT_THROW(c->read_block(a, 1, out), IntegrityError);
+  c->read_block(a, 0, out);
+  EXPECT_EQ(out, block_of(1)) << "the untouched block still verifies";
+}
+
+TEST(ClientSeal, DroppedWriteFailsOnReadBack) {
+  // Rollback via TamperingBackend underneath: the write is ACKed but never
+  // lands, so the store still holds the never-written zeros while the
+  // client-side version table says "sealed once".
+  auto c = sealed_client(tampering_backend(mem_backend(), rollback_only(11, 1.0)));
+  const ExtArray a = c->alloc_blocks(4, Client::Init::kUninit);
+  c->write_block(a, 0, block_of(9));
+  BlockBuf out;
+  EXPECT_THROW(c->read_block(a, 0, out), IntegrityError);
+}
+
+TEST(ClientSeal, HonestStoreNeverFailsClosed) {
+  // A shrunk-then-regrown block is never-written again on both sides: the
+  // store re-zeroes it and the version table forgets it, so it reads back as
+  // zero without an error.
+  auto c = sealed_client();
+  const ExtArray keep = c->alloc_blocks(2, Client::Init::kUninit);
+  c->write_block(keep, 0, block_of(3));
+  const ExtArray scratch = c->alloc_blocks(2, Client::Init::kUninit);
+  BlockBuf out;
+  for (Word round = 0; round < 3; ++round) {
+    c->write_block(scratch, 1, block_of(10 + round));
+    c->read_block(scratch, 1, out);
+    EXPECT_EQ(out, block_of(10 + round));
+  }
+  c->release(scratch);
+  const ExtArray regrown = c->alloc_blocks(2, Client::Init::kUninit);
+  ASSERT_EQ(regrown.device_block(1), scratch.device_block(1));
+  c->read_block(regrown, 1, out);
+  EXPECT_EQ(out, kZeroBlock) << "a released-then-regrown block reads as zero";
+  c->read_block(keep, 0, out);
+  EXPECT_EQ(out, block_of(3));
 }
 
 // ---------------------------------------------------------------------------
@@ -271,18 +307,45 @@ TEST(AuthenticatedBackend, BlockTransplantIsIntegrity) {
 // through -- zero retries burned, IntegrityError (not the generic kIo path)
 // surfacing from the device.
 
+/// A store whose reads fail with Status::Integrity -- the code a remote
+/// server's failed HELLO/PING authentication surfaces as.
+class IntegrityFailingBackend : public MemBackend {
+ public:
+  using MemBackend::MemBackend;
+
+ protected:
+  Status do_read(std::uint64_t, std::span<Word>) override {
+    return Status::Integrity("peer failed authentication");
+  }
+  Status do_read_many(std::span<const std::uint64_t>, std::span<Word>) override {
+    return Status::Integrity("peer failed authentication");
+  }
+};
+
 TEST(RetryBypass, DeviceDoesNotRetryIntegrityFailures) {
-  BlockDevice dev(kAuthBw,
-                  encrypted_backend(
-                      tampering_backend(mem_backend(), corrupt_only(13, 1.0)),
-                      0x5eedULL, /*authenticated=*/true),
+  constexpr std::size_t kBw = 4;
+  BlockDevice dev(kBw,
+                  [](std::size_t bw) { return std::make_unique<IntegrityFailingBackend>(bw); },
                   RetryPolicy{8});
   dev.allocate(4);
-  dev.write(0, std::vector<Word>(kAuthBw, 3));
-  std::vector<Word> out(kAuthBw);
+  dev.write(0, std::vector<Word>(kBw, 3));
+  std::vector<Word> out(kBw);
   EXPECT_THROW(dev.read(0, out), IntegrityError);
   EXPECT_EQ(dev.retries(), 0u)
       << "RetryPolicy burned attempts on a tampering proof";
+}
+
+TEST(RetryBypass, ClientDoesNotRetryFailedSeals) {
+  ClientParams p = test::params(kSealB, 64, /*seed=*/3);
+  p.backend = tampering_backend(mem_backend(), corrupt_only(13, 1.0));
+  p.io_retry_attempts = 8;
+  Client c(p);
+  const ExtArray a = c.alloc_blocks(4, Client::Init::kUninit);
+  c.write_block(a, 0, block_of(3));
+  BlockBuf out;
+  EXPECT_THROW(c.read_block(a, 0, out), IntegrityError);
+  EXPECT_EQ(c.device().retries(), 0u)
+      << "RetryPolicy burned attempts on a failed seal";
 }
 
 TEST(RetryBypass, SessionSurfacesIntegrityWithZeroRetries) {
@@ -310,7 +373,7 @@ TEST(RetryBypass, SessionSurfacesIntegrityWithZeroRetries) {
 
 // ---------------------------------------------------------------------------
 // Algorithm-level conformance: 100 seeded trials per algorithm on the plain
-// stack (plus a smaller matrix on authenticated / sharded / cached stacks).
+// stack (plus a smaller matrix on sharded / cached stacks).
 // Exactly two outcomes are allowed per trial: identical output + identical
 // trace, or clean kIntegrity.  Anything else -- wrong output with Ok, a
 // crash, kIo, a burned retry -- is a conformance failure.
@@ -319,14 +382,12 @@ struct StackConfig {
   const char* name;
   std::size_t shards;
   std::uint64_t cache_blocks;
-  bool auth_seam;  // add the EncryptedBackend seam in authenticated mode
 };
 
 constexpr StackConfig kStacks[] = {
-    {"plain", 1, 0, false},
-    {"auth_seam", 1, 0, true},
-    {"sharded4_auth", 4, 0, true},
-    {"cached_auth", 1, 16, true},
+    {"plain", 1, 0},
+    {"sharded4", 4, 0},
+    {"cached", 1, 16},
 };
 
 Result<Session> build_session(const StackConfig& cfg, std::uint64_t tamper_seed,
@@ -335,7 +396,6 @@ Result<Session> build_session(const StackConfig& cfg, std::uint64_t tamper_seed,
   b.block_records(4).cache_records(64).seed(11).io_retries(4);
   if (cfg.shards > 1) b.sharded(cfg.shards);
   if (cfg.cache_blocks > 0) b.cache(cfg.cache_blocks);
-  if (cfg.auth_seam) b.encrypted(0x5eedULL, /*authenticated=*/true);
   if (rate > 0.0) b.tampering(tamper_seed, rate);
   return b.build();
 }
@@ -357,7 +417,7 @@ void run_tamper_trials(const char* what, AlgoFn&& algo) {
                           << " tamper-free run failed: " << ref;
     const std::uint64_t expected_trace = clean->trace().hash();
 
-    const int trials = cfg.shards == 1 && !cfg.auth_seam ? 100 : 20;
+    const int trials = cfg.shards == 1 && cfg.cache_blocks == 0 ? 100 : 20;
     int completed = 0, detected = 0;
     for (int trial = 0; trial < trials; ++trial) {
       auto tampered = build_session(cfg, 5000 + trial, trial_rate(trial));

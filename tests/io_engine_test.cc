@@ -205,11 +205,6 @@ struct EngineCase {
   /// with compute_threads > 1 pins the worker pool byte-identical to the
   /// serial compute path.
   std::size_t compute_threads = 1;
-  /// Authenticated encryption at the backend seam (MAC + version table per
-  /// block).  Verification is below the trace recorder, so the row must be
-  /// byte-identical to mem -- failing closed is a status-path property, not
-  /// a trace property.
-  bool encrypted_auth = false;
   /// io_uring + O_DIRECT file store (DirectFileBackend; threaded fallback on
   /// refusing kernels).  Engine choice is pure mechanism: same trace.
   bool direct_file = false;
@@ -242,19 +237,15 @@ std::vector<EngineCase> engine_cases() {
           {"compute4", 1, false, false, false, 2, 0, false, /*threads=*/4},
           {"compute4_remote_sharded4_depth4", 4, true, false, true, 4, 0, false,
            4},
-          // Authenticated-encryption seam (MAC verify/seal on every transfer):
-          // the freshness machinery must be invisible in Bob's view.
-          {"encrypted_auth", 1, false, false, false, 2, 0, false, 1,
-           /*auth=*/true},
           // The O_DIRECT/io_uring disk engine at pipeline depth 4: real
           // kernel-queued I/O (or its threaded fallback) pinned against mem
           // at the same depth.
           {"direct_file_depth4", 1, true, false, false, /*depth=*/4, 0, false,
-           1, false, /*direct=*/true},
+           1, /*direct=*/true},
           // A remote session whose write-back cache is one VIEW of a shared
           // CacheCore under live cross-session residency pressure.
           {"shared_cache_remote", 1, true, false, true, 2, 0, false, 1, false,
-           false, /*shared_cache=*/true}};
+           /*shared_cache=*/true}};
 }
 
 struct AlgoRun {
@@ -287,7 +278,6 @@ void run_engine_case(const EngineCase& ec, std::span<const Record> input,
   // sharded fault rows get headroom above the single-shard default of 4.
   if (ec.faulty) builder.io_retries(8);
   if (ec.cache_blocks > 0) builder.cache(ec.cache_blocks);
-  if (ec.encrypted_auth) builder.encrypted(0x5eedULL, /*authenticated=*/true);
   if (ec.direct_file) builder.file_backed().direct_io();
   SharedCacheHandle shared_core;
   if (ec.shared_cache) {

@@ -446,14 +446,12 @@ struct RecoveryStack {
   const char* name;
   std::size_t shards;
   std::size_t cache_blocks;
-  bool auth_seam;
 };
 
 constexpr RecoveryStack kRecoveryStacks[] = {
-    {"plain", 1, 0, false},
-    {"sharded4", 4, 0, false},
-    {"cached", 1, 16, false},
-    {"encrypted_auth", 1, 0, true},
+    {"plain", 1, 0},
+    {"sharded4", 4, 0},
+    {"cached", 1, 16},
 };
 
 Result<Session> build_remote(const RecoveryStack& cfg, const std::string& host,
@@ -467,7 +465,6 @@ Result<Session> build_remote(const RecoveryStack& cfg, const std::string& host,
       .io_retries(2);
   if (cfg.shards > 1) b.sharded(cfg.shards);
   if (cfg.cache_blocks > 0) b.cache(cfg.cache_blocks);
-  if (cfg.auth_seam) b.encrypted(0x5eedULL, /*authenticated=*/true);
   return b.build();
 }
 

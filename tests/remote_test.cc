@@ -1,6 +1,6 @@
 // Remote block store suite: the wire protocol round-trips, per-store
 // namespacing, connection-drop recovery (kIo + reconnect under the device's
-// RetryPolicy), split-phase wire pipelining, and the EncryptedBackend
+// RetryPolicy), split-phase wire pipelining, and the Client seal's
 // guarantee that the server only ever holds fresh ciphertext.
 #include <gtest/gtest.h>
 
@@ -349,48 +349,45 @@ TEST(RemoteBackend, DataFramesAreByteIdenticalToTheV3Encoding) {
 }
 
 // ---------------------------------------------------------------------------
-// EncryptedBackend: the server only ever holds fresh ciphertext.
+// The Client's [nonce][mac] seal: the server only ever holds fresh ciphertext.
 
-TEST(EncryptedBackend, RewritingSamePlaintextYieldsFreshServerBytes) {
+TEST(ClientSeal, ServerHoldsOnlyFreshCiphertext) {
   RemoteServer server;
   RemoteBackendOptions opts;
   opts.port = server.port();
   opts.store_id = 9;
-  auto owner = encrypted_backend(remote_backend(opts), /*key=*/0x5eed)(kBw);
-  ASSERT_TRUE(owner->health().ok());
-  ASSERT_TRUE(owner->resize(4).ok());
+  ClientParams p = test::params(/*B=*/4, /*M=*/64, /*seed=*/5);
+  p.backend = remote_backend(opts);
+  Client client(p);
+  ASSERT_TRUE(client.device().backend().health().ok());
+  const ExtArray a = client.alloc_blocks(4, Client::Init::kUninit);
+  const std::uint64_t blk = a.device_block(2);
 
-  const std::vector<Word> plain = pattern(2, 42);
-  ASSERT_TRUE(owner->write(2, plain).ok());
+  const std::vector<Record> recs = test::random_records(4, 42);
+  const BlockBuf plain(recs.begin(), recs.end());
+  client.write_block(a, 2, plain);
   std::vector<Word> held1;
-  ASSERT_TRUE(server.peek_store(9, 2, &held1).ok());
-  ASSERT_TRUE(owner->write(2, plain).ok());  // same plaintext again
+  ASSERT_TRUE(server.peek_store(9, blk, &held1).ok());
+  client.write_block(a, 2, plain);  // same records again
   std::vector<Word> held2;
-  ASSERT_TRUE(server.peek_store(9, 2, &held2).ok());
+  ASSERT_TRUE(server.peek_store(9, blk, &held2).ok());
 
-  EXPECT_EQ(held1.size(), kBw + 1) << "stored block = nonce header + payload";
-  EXPECT_NE(held1, held2) << "re-encryption of the same value must be fresh";
-  for (std::size_t i = 0; i < kBw; ++i) {
-    EXPECT_NE(held1[i + 1], plain[i]) << "server held plaintext word " << i;
-    EXPECT_NE(held2[i + 1], plain[i]) << "server held plaintext word " << i;
-  }
-  std::vector<Word> out(kBw);
-  ASSERT_TRUE(owner->read(2, out).ok());
-  EXPECT_EQ(out, plain) << "decryption must invert the seal";
-}
-
-TEST(EncryptedBackend, FreshBlocksStillReadAsZero) {
-  auto owner = encrypted_backend(nullptr, /*key=*/7)(kBw);
-  ASSERT_TRUE(owner->resize(4).ok());
-  std::vector<Word> out(kBw, 9);
-  ASSERT_TRUE(owner->read(3, out).ok());
-  for (Word w : out) EXPECT_EQ(w, 0u);
-  // Shrink-regrow must zero again (the inner nonce word resets to 0).
-  ASSERT_TRUE(owner->write(3, pattern(3)).ok());
-  ASSERT_TRUE(owner->resize(1).ok());
-  ASSERT_TRUE(owner->resize(4).ok());
-  ASSERT_TRUE(owner->read(3, out).ok());
-  for (Word w : out) EXPECT_EQ(w, 0u);
+  EXPECT_EQ(held1.size(), client.device().block_words())
+      << "stored block = [nonce][mac] header + payload";
+  EXPECT_NE(held1, held2) << "re-sealing the same records must be fresh";
+  for (std::size_t w = kBlockHeaderWords; w < held1.size(); ++w)
+    EXPECT_NE(held1[w], held2[w]) << "ciphertext word " << w << " repeated on rewrite";
+  for (const std::vector<Word>* held : {&held1, &held2})
+    for (std::size_t w = 0; w < held->size(); ++w)
+      for (const Record& r : plain) {
+        EXPECT_NE((*held)[w], r.key) << "server held a plaintext key at word " << w;
+        EXPECT_NE((*held)[w], r.value) << "server held a plaintext value at word " << w;
+      }
+  BlockBuf out;
+  client.read_block(a, 2, out);
+  EXPECT_EQ(out, plain) << "opening must invert the seal";
+  client.read_block(a, 3, out);
+  EXPECT_EQ(out, BlockBuf(4, Record{0, 0})) << "never-written reads as zero";
 }
 
 // ---------------------------------------------------------------------------
@@ -407,8 +404,7 @@ TEST(RemoteSession, SortsIdenticallyToMemAtDepth8) {
                        .cache_records(64)
                        .seed(5)
                        .pipeline_depth(8)
-                       .async_prefetch(remote == 1)
-                       .encrypted(0xfeedf00d);
+                       .async_prefetch(remote == 1);
     if (remote) builder.remote(server.host(), server.port());
     auto built = builder.build();
     ASSERT_TRUE(built.ok()) << built.status();
