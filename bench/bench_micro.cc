@@ -1,5 +1,6 @@
 // M1 -- google-benchmark micro-benchmarks of the primitives: block I/O with
-// encryption, sorting-network compare-exchange throughput, IBLT operations,
+// encryption, the window-level seal/open kernel (sec_per_block is the time
+// per block of a 64-block window, one thread), sorting-network compare-exchange throughput, IBLT operations,
 // Feistel PRP evaluation, and the consolidation scan.
 #include <benchmark/benchmark.h>
 
@@ -29,6 +30,62 @@ void BM_BlockWriteRead(benchmark::State& state) {
                           static_cast<std::int64_t>(B * sizeof(Record)));
 }
 BENCHMARK(BM_BlockWriteRead)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
+
+// One 64-block window of random plaintext, ids, nonces and versions, B = the
+// benchmark argument.
+struct CryptoWindow {
+  static constexpr std::size_t kBlocks = 64;
+  explicit CryptoWindow(std::size_t B)
+      : enc(0x5eed, 1),
+        plain(bench::random_records(kBlocks * B, 5)),
+        wire(kBlocks * (kBlockHeaderWords + B * kWordsPerRecord)),
+        out(kBlocks * B),
+        verdicts(kBlocks) {
+    for (std::size_t j = 0; j < kBlocks; ++j) {
+      ids.push_back(1000 + 7 * j);
+      nonces.push_back(enc.fresh_nonce());
+      versions.push_back(1 + j % 3);
+    }
+  }
+  Encryptor enc;
+  std::vector<std::uint64_t> ids;
+  std::vector<Word> nonces;
+  std::vector<std::uint64_t> versions;
+  std::vector<Record> plain;
+  std::vector<Word> wire;
+  std::vector<Record> out;
+  std::vector<std::uint8_t> verdicts;
+};
+
+void set_per_block(benchmark::State& state) {
+  state.counters["sec_per_block"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * CryptoWindow::kBlocks),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void BM_SealWindow(benchmark::State& state) {
+  CryptoWindow w(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    w.enc.seal_blocks(w.ids, w.nonces, w.versions, w.plain, w.wire);
+    benchmark::DoNotOptimize(w.wire.data());
+    benchmark::ClobberMemory();
+  }
+  set_per_block(state);
+}
+BENCHMARK(BM_SealWindow)->Arg(4)->Arg(8)->Arg(32);
+
+void BM_OpenWindow(benchmark::State& state) {
+  CryptoWindow w(static_cast<std::size_t>(state.range(0)));
+  w.enc.seal_blocks(w.ids, w.nonces, w.versions, w.plain, w.wire);
+  for (auto _ : state) {
+    w.enc.open_blocks(w.ids, w.versions, w.wire, w.out, w.verdicts);
+    benchmark::DoNotOptimize(w.out.data());
+    benchmark::DoNotOptimize(w.verdicts.data());
+    benchmark::ClobberMemory();
+  }
+  set_per_block(state);
+}
+BENCHMARK(BM_OpenWindow)->Arg(4)->Arg(8)->Arg(32);
 
 void BM_BitonicSort(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -93,64 +93,63 @@ ExtArray Client::alloc_blocks(std::uint64_t num_blocks, Init init) {
 
 void Client::release(const ExtArray& a) { dev_->release(a.extent()); }
 
-void Client::serialize(std::span<const Record> in, std::span<Word> out_words) const {
-  assert(in.size() == B_);
-  assert(out_words.size() == kBlockHeaderWords + B_ * kWordsPerRecord);
-  // out_words[0]/[1] are the nonce/mac header slots, filled by the sealer.
-  for (std::size_t r = 0; r < B_; ++r) {
-    out_words[kBlockHeaderWords + 2 * r] = in[r].key;
-    out_words[kBlockHeaderWords + 1 + 2 * r] = in[r].value;
-  }
+std::size_t Client::crypto_grain(std::size_t nblocks) const {
+  const std::size_t words = nblocks * dev_->block_words();
+  const std::size_t chunks =
+      std::clamp<std::size_t>(words / kMinCryptoChunkWords, 1, pool_->threads());
+  return static_cast<std::size_t>(ceil_div(nblocks, chunks));
 }
 
-void Client::deserialize(std::span<const Word> in_words, std::span<Record> out) const {
-  assert(in_words.size() == kBlockHeaderWords + B_ * kWordsPerRecord);
-  assert(out.size() == B_);
-  for (std::size_t r = 0; r < B_; ++r) {
-    out[r].key = in_words[kBlockHeaderWords + 2 * r];
-    out[r].value = in_words[kBlockHeaderWords + 1 + 2 * r];
+void Client::seal_window(std::span<const std::uint64_t> ids,
+                         std::span<const Record> in, std::span<Word> wire,
+                         std::size_t grain) {
+  const std::size_t n = ids.size(), bw = dev_->block_words();
+  // Nonces mutate the Encryptor's state and version bumps mutate the device's
+  // anti-rollback table: draw both sequentially on the master, in scatter
+  // order, BEFORE fanning out -- ciphertexts and MACs are then a function of
+  // the write sequence alone, never of the lane count.
+  nonces_.resize(n);
+  versions_.resize(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    nonces_[j] = enc_.fresh_nonce();
+    versions_[j] = dev_->bump_version(ids[j]);
   }
+  const auto seal = [&](std::size_t first, std::size_t last) {
+    const std::size_t k = last - first;
+    enc_.seal_blocks(ids.subspan(first, k),
+                     std::span<const Word>(nonces_).subspan(first, k),
+                     std::span<const std::uint64_t>(versions_).subspan(first, k),
+                     in.subspan(first * B_, k * B_), wire.subspan(first * bw, k * bw));
+  };
+  // Inline windows skip the pool call (and its std::function) altogether:
+  // the single-block read/write path is hot.
+  if (grain >= n) seal(0, n);
+  else pool_->parallel_for(n, grain, seal);
 }
 
-void Client::seal_words(std::uint64_t dev_blk, Word nonce, std::uint64_t version,
-                        std::span<const Record> in, std::span<Word> w) const {
-  assert(w.size() == dev_->block_words());
-  w[0] = nonce;
-  serialize(in, w);
-  enc_.apply_keystream(dev_blk, nonce, w.subspan(kBlockHeaderWords));
-  w[1] = enc_.mac(dev_blk, nonce, version, w.subspan(kBlockHeaderWords));
+void Client::open_window(std::span<const std::uint64_t> ids,
+                         std::span<const Word> wire, std::span<Record> out,
+                         std::size_t grain) const {
+  const std::size_t n = ids.size(), bw = dev_->block_words();
+  versions_.resize(n);
+  for (std::size_t j = 0; j < n; ++j) versions_[j] = dev_->version(ids[j]);
+  verdicts_.resize(n);
+  // Lanes verify into their own verdict slots and never write `wire` (the
+  // pipeline's reusable staging); fail_closed reduces after the fan-in.
+  const auto open = [&](std::size_t first, std::size_t last) {
+    const std::size_t k = last - first;
+    enc_.open_blocks(ids.subspan(first, k),
+                     std::span<const std::uint64_t>(versions_).subspan(first, k),
+                     wire.subspan(first * bw, k * bw), out.subspan(first * B_, k * B_),
+                     std::span<std::uint8_t>(verdicts_).subspan(first, k));
+  };
+  if (grain >= n) open(0, n);
+  else pool_->parallel_for(n, grain, open);
 }
 
-bool Client::open_words(std::uint64_t dev_blk, std::span<const Word> w,
-                        std::span<Record> out) const {
-  assert(w.size() == dev_->block_words());
-  assert(out.size() == B_);
-  const Word nonce = w[0], tag = w[1];
-  const std::span<const Word> cipher = w.subspan(kBlockHeaderWords);
-  const std::uint64_t version = dev_->version(dev_blk);
-  bool ok;
-  if (version == 0) {
-    // Never written by this client: the backend contract says a fresh (or
-    // shrunk-then-regrown) block reads as all-zero, header included.  Any
-    // other bytes at version 0 were fabricated by the server.
-    ok = nonce == 0 && tag == 0 &&
-         std::all_of(cipher.begin(), cipher.end(), [](Word x) { return x == 0; });
-  } else {
-    ok = tag == enc_.mac(dev_blk, nonce, version, cipher);
-  }
-  if (!ok) {
-    // Zero the plaintext so a caller that drops the verdict on the floor can
-    // still never observe attacker-controlled bytes.
-    for (Record& r : out) r = Record{0, 0};
-    return false;
-  }
-  thread_local std::vector<Word> scratch;
-  scratch.assign(w.begin(), w.end());
-  if (nonce != 0)
-    enc_.apply_keystream(dev_blk, nonce,
-                         std::span<Word>(scratch).subspan(kBlockHeaderWords));
-  deserialize(scratch, out);
-  return true;
+void Client::fail_closed(std::span<const std::uint64_t> ids) const {
+  for (std::size_t j = 0; j < ids.size(); ++j)
+    if (!verdicts_[j]) integrity_fail(ids[j]);
 }
 
 void Client::integrity_fail(std::uint64_t dev_blk) const {
@@ -165,14 +164,15 @@ void Client::read_block(const ExtArray& a, std::uint64_t i, BlockBuf& out) {
   const std::uint64_t dev_blk = a.device_block(i);
   dev_->read(dev_blk, wire_);
   out.resize(B_);
-  if (!open_words(dev_blk, wire_, out)) integrity_fail(dev_blk);
+  open_window({&dev_blk, 1}, wire_, out, 1);
+  fail_closed({&dev_blk, 1});
 }
 
 void Client::write_block(const ExtArray& a, std::uint64_t i, const BlockBuf& in) {
   assert(i < a.num_blocks());
   assert(in.size() == B_);
   const std::uint64_t dev_blk = a.device_block(i);
-  seal_words(dev_blk, enc_.fresh_nonce(), dev_->bump_version(dev_blk), in, wire_);
+  seal_window({&dev_blk, 1}, in, wire_, 1);
   dev_->write(dev_blk, wire_);
 }
 
@@ -187,11 +187,8 @@ void Client::read_blocks(const ExtArray& a, std::uint64_t first, std::uint64_t c
     for (std::uint64_t j = 0; j < k; ++j) ids_[j] = a.device_block(first + done + j);
     wire_many_.resize(static_cast<std::size_t>(k) * bw);
     dev_->read_many(ids_, wire_many_);
-    for (std::uint64_t j = 0; j < k; ++j) {
-      std::span<const Word> w(wire_many_.data() + j * bw, bw);
-      if (!open_words(ids_[j], w, out.subspan((done + j) * B_, B_)))
-        integrity_fail(ids_[j]);
-    }
+    open_window(ids_, wire_many_, out.subspan(done * B_, k * B_), k);
+    fail_closed(ids_);
     done += k;
   }
 }
@@ -204,14 +201,9 @@ void Client::write_blocks(const ExtArray& a, std::uint64_t first, std::uint64_t 
   for (std::uint64_t done = 0; done < count;) {
     const std::uint64_t k = std::min<std::uint64_t>(io_batch_, count - done);
     ids_.resize(k);
+    for (std::uint64_t j = 0; j < k; ++j) ids_[j] = a.device_block(first + done + j);
     wire_many_.resize(static_cast<std::size_t>(k) * bw);
-    for (std::uint64_t j = 0; j < k; ++j) {
-      const std::uint64_t dev_blk = a.device_block(first + done + j);
-      ids_[j] = dev_blk;
-      std::span<Word> w(wire_many_.data() + j * bw, bw);
-      seal_words(dev_blk, enc_.fresh_nonce(), dev_->bump_version(dev_blk),
-                 in.subspan((done + j) * B_, B_), w);
-    }
+    seal_window(ids_, in.subspan(done * B_, k * B_), wire_many_, k);
     dev_->write_many(ids_, wire_many_);
     done += k;
   }
@@ -219,54 +211,25 @@ void Client::write_blocks(const ExtArray& a, std::uint64_t first, std::uint64_t 
 
 void Client::decrypt_blocks(std::span<const std::uint64_t> dev_ids,
                             std::span<const Word> wire, std::span<Record> out) {
-  const std::size_t bw = dev_->block_words();
-  assert(wire.size() == dev_ids.size() * bw);
+  assert(wire.size() == dev_ids.size() * dev_->block_words());
   assert(out.size() == dev_ids.size() * B_);
   if (dev_ids.empty()) return;
   const auto t0 = std::chrono::steady_clock::now();
-  // Each block's verify + keystream is independent: chunk the window across
-  // the pool.  Lanes verify into their verdict slots (open_words copies into
-  // a per-lane scratch, so `wire` -- the pipeline's reusable staging -- is
-  // left untouched); the master reduces the verdicts after the fan-in and
-  // fails closed on the first bad block.
-  verdicts_.assign(dev_ids.size(), 1);
-  pool_->parallel_for(dev_ids.size(), 0, [&](std::size_t first, std::size_t last) {
-    for (std::size_t j = first; j < last; ++j) {
-      if (!open_words(dev_ids[j], wire.subspan(j * bw, bw),
-                      out.subspan(j * B_, B_)))
-        verdicts_[j] = 0;
-    }
-  });
+  open_window(dev_ids, wire, out, crypto_grain(dev_ids.size()));
   dev_->add_crypto_ns(static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
           .count()));
-  for (std::size_t j = 0; j < dev_ids.size(); ++j)
-    if (!verdicts_[j]) integrity_fail(dev_ids[j]);
+  fail_closed(dev_ids);
 }
 
 void Client::encrypt_blocks(std::span<const std::uint64_t> dev_ids,
                             std::span<const Record> in, std::span<Word> wire) {
-  const std::size_t bw = dev_->block_words();
-  assert(wire.size() == dev_ids.size() * bw);
+  assert(wire.size() == dev_ids.size() * dev_->block_words());
   assert(in.size() == dev_ids.size() * B_);
   if (dev_ids.empty()) return;
   const auto t0 = std::chrono::steady_clock::now();
-  // Nonces mutate the Encryptor's state and version bumps mutate the device's
-  // anti-rollback table: draw both sequentially on the master, in scatter
-  // order, BEFORE fanning out -- ciphertexts and MACs are then a function of
-  // the write sequence alone, never of the lane count.
-  versions_scratch_.resize(dev_ids.size());
-  for (std::size_t j = 0; j < dev_ids.size(); ++j) {
-    wire[j * bw] = enc_.fresh_nonce();
-    versions_scratch_[j] = dev_->bump_version(dev_ids[j]);
-  }
-  pool_->parallel_for(dev_ids.size(), 0, [&](std::size_t first, std::size_t last) {
-    for (std::size_t j = first; j < last; ++j) {
-      seal_words(dev_ids[j], wire[j * bw], versions_scratch_[j],
-                 in.subspan(j * B_, B_), wire.subspan(j * bw, bw));
-    }
-  });
+  seal_window(dev_ids, in, wire, crypto_grain(dev_ids.size()));
   dev_->add_crypto_ns(static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
@@ -345,20 +308,22 @@ std::vector<Record> Client::peek(const ExtArray& a) const {
   std::vector<Record> out;
   out.reserve(a.num_records());
   const std::size_t bw = dev_->block_words();
-  BlockBuf buf(B_);
+  std::vector<std::uint64_t> ids;
   std::vector<Word> wire;
+  std::vector<Record> recs;
   // Bulk download in batch windows (uncounted; the backend coalesces).
   for (std::uint64_t i = 0; i < a.num_blocks(); i += io_batch_) {
     const std::uint64_t k = std::min<std::uint64_t>(io_batch_, a.num_blocks() - i);
+    ids.resize(k);
+    for (std::uint64_t j = 0; j < k; ++j) ids[j] = a.device_block(i + j);
     wire.resize(static_cast<std::size_t>(k) * bw);
-    dev_->read_raw_range(a.device_block(i), k, wire);
-    for (std::uint64_t j = 0; j < k; ++j) {
-      const std::uint64_t dev_blk = a.device_block(i + j);
-      std::span<const Word> w(wire.data() + j * bw, bw);
-      if (!open_words(dev_blk, w, buf)) integrity_fail(dev_blk);
-      for (std::size_t r = 0; r < B_ && out.size() < a.num_records(); ++r)
-        out.push_back(buf[r]);
-    }
+    recs.resize(static_cast<std::size_t>(k) * B_);
+    dev_->read_raw_range(ids[0], k, wire);
+    open_window(ids, wire, recs, k);
+    fail_closed(ids);
+    const std::size_t take =
+        std::min<std::uint64_t>(recs.size(), a.num_records() - out.size());
+    out.insert(out.end(), recs.begin(), recs.begin() + take);
   }
   return out;
 }
@@ -366,23 +331,22 @@ std::vector<Record> Client::peek(const ExtArray& a) const {
 void Client::poke(const ExtArray& a, std::span<const Record> records) {
   assert(records.size() <= a.num_blocks() * B_);
   const std::size_t bw = dev_->block_words();
-  BlockBuf buf(B_);
+  std::vector<std::uint64_t> ids;
   std::vector<Word> wire;
-  std::size_t idx = 0;
-  // Bulk upload in batch windows; bypasses counters/trace (setup only).
+  std::vector<Record> recs;
+  // Bulk upload in batch windows, padded with empty records; bypasses
+  // counters/trace (setup only).
   for (std::uint64_t i = 0; i < a.num_blocks(); i += io_batch_) {
     const std::uint64_t k = std::min<std::uint64_t>(io_batch_, a.num_blocks() - i);
+    ids.resize(k);
+    for (std::uint64_t j = 0; j < k; ++j) ids[j] = a.device_block(i + j);
+    recs.assign(static_cast<std::size_t>(k) * B_, Record{});
+    const std::size_t from = std::min<std::size_t>(i * B_, records.size());
+    const std::size_t to = std::min<std::size_t>(from + recs.size(), records.size());
+    std::copy(records.begin() + from, records.begin() + to, recs.begin());
     wire.resize(static_cast<std::size_t>(k) * bw);
-    for (std::uint64_t j = 0; j < k; ++j) {
-      for (std::size_t r = 0; r < B_; ++r) {
-        buf[r] = idx < records.size() ? records[idx] : Record{};
-        ++idx;
-      }
-      const std::uint64_t dev_blk = a.device_block(i + j);
-      std::span<Word> w(wire.data() + j * bw, bw);
-      seal_words(dev_blk, enc_.fresh_nonce(), dev_->bump_version(dev_blk), buf, w);
-    }
-    dev_->write_raw_range(a.device_block(i), k, wire);
+    seal_window(ids, recs, wire, k);
+    dev_->write_raw_range(ids[0], k, wire);
   }
 }
 

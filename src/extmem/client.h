@@ -56,7 +56,8 @@ struct ClientParams {
   /// (hence the trace) is a function of (passes, depth), never of the data.
   std::size_t pipeline_depth = 2;
   /// Compute-plane lanes (master + workers) for the ComputePool driving
-  /// block crypto and chunk-parallel pipeline compute.  0 and 1 both mean
+  /// chunk-parallel pipeline compute and the crypto of windows large enough
+  /// to pay for the barrier (see decrypt_blocks).  0 and 1 both mean
   /// serial/inline.  Like depth, a public scheduling parameter: nonces are
   /// drawn and trace/stat events recorded on the master in program order, so
   /// the device trace (and every ciphertext) is byte-identical at any lane
@@ -147,15 +148,18 @@ class Client {
   // --- ciphertext staging for the I/O-engine pipeline (extmem/pipeline.h) ---
 
   /// Decrypt a wire buffer of `dev_ids.size()` blocks (gather order, as
-  /// returned by a completed device read) into records.  Each block's
-  /// keystream is independent, so the window is chunked across the compute
-  /// pool's lanes; the output bytes are identical at any lane count.
+  /// returned by a completed device read) into records, through the
+  /// Encryptor's batched open_blocks kernel.  The window fans out across the
+  /// compute pool's lanes only when each lane chunk carries at least
+  /// kMinCryptoChunkWords wire words; smaller windows run inline on the
+  /// master, where the pool barrier would cost more than the crypto it
+  /// splits.  The output bytes are identical at any lane count.
   void decrypt_blocks(std::span<const std::uint64_t> dev_ids,
                       std::span<const Word> wire, std::span<Record> out);
-  /// Serialize + encrypt records into a wire buffer.  Nonces are drawn in
-  /// scatter order on the calling (master) thread BEFORE the pool fans the
-  /// keystream work out, so every ciphertext is deterministic regardless of
-  /// lane count or how the transfer is dispatched.
+  /// Serialize + encrypt records into a wire buffer (seal_blocks kernel, same
+  /// fan-out rule).  Nonces are drawn in scatter order on the calling
+  /// (master) thread BEFORE any fan-out, so every ciphertext is deterministic
+  /// regardless of lane count or how the transfer is dispatched.
   void encrypt_blocks(std::span<const std::uint64_t> dev_ids,
                       std::span<const Record> in, std::span<Word> wire);
 
@@ -183,21 +187,27 @@ class Client {
   Status persist_state();
 
  private:
-  void serialize(std::span<const Record> in, std::span<Word> out_words) const;
-  void deserialize(std::span<const Word> in_words, std::span<Record> out) const;
+  /// A crypto lane chunk must carry at least this many wire words (16 KiB)
+  /// to pay for the pool barrier: a 64-block window runs inline at B=8
+  /// (1,152 words) and splits over two lanes at B=32 (4,224 words).
+  static constexpr std::size_t kMinCryptoChunkWords = 2048;
+  /// Chunk size (blocks) for one decrypt/encrypt window of `nblocks` under
+  /// the rule above: as many equal chunks as the words allow, at most one
+  /// per lane.
+  std::size_t crypto_grain(std::size_t nblocks) const;
 
-  /// Serialize + encrypt + authenticate one block into `w` (block_words()
-  /// wide, layout [nonce][mac][ciphertext]).  Pure given (nonce, version), so
-  /// compute-pool lanes can seal in parallel after the master drew nonces and
-  /// bumped versions in scatter order.
-  void seal_words(std::uint64_t dev_blk, Word nonce, std::uint64_t version,
-                  std::span<const Record> in, std::span<Word> w) const;
-  /// Verify + decrypt one stored block.  Returns false when authentication
-  /// fails (tampered ciphertext/header, swapped block, or rollback to a
-  /// stale version); `out` is zeroed in that case so tampered plaintext can
-  /// never leak to a caller that ignores the verdict.
-  bool open_words(std::uint64_t dev_blk, std::span<const Word> w,
-                  std::span<Record> out) const;
+  /// Draw nonces and bump versions for `ids` on the master (in order), then
+  /// seal the window into `wire` ([nonce][mac][ciphertext] per block) in
+  /// chunks of `grain` blocks; grain >= ids.size() stays on the caller.
+  void seal_window(std::span<const std::uint64_t> ids, std::span<const Record> in,
+                   std::span<Word> wire, std::size_t grain);
+  /// Verify + decrypt a window against the client-side versions, in chunks
+  /// of `grain` blocks, leaving one verdict per block in verdicts_.  Failing
+  /// blocks' records are zeroed; fail_closed acts on the verdicts.
+  void open_window(std::span<const std::uint64_t> ids, std::span<const Word> wire,
+                   std::span<Record> out, std::size_t grain) const;
+  /// Throw for the first block of the last open_window whose verdict failed.
+  void fail_closed(std::span<const std::uint64_t> ids) const;
   /// Throw IntegrityError for device block `dev_blk` (fail closed: the
   /// Session facade maps it to StatusCode::kIntegrity, and RetryPolicy never
   /// sees it).
@@ -221,12 +231,12 @@ class Client {
   // Staging for batched I/O: ciphertext words and block ids for one window.
   std::vector<Word> wire_many_;
   std::vector<std::uint64_t> ids_;
-  // Per-block versions drawn on the master for one encrypt_blocks window
-  // (scatter order, before the lanes fan out -- like nonces).
-  std::vector<std::uint64_t> versions_scratch_;
-  // Per-block verification verdicts for one decrypt_blocks window: lanes
-  // write their slot, the master reduces after the fan-in and fails closed.
-  std::vector<std::uint8_t> verdicts_;
+  // Per-block nonces and versions for one window, gathered on the master
+  // before any fan-out (scatter order for seals), and the per-block
+  // verification verdicts lanes write for the master to reduce.
+  std::vector<Word> nonces_;
+  mutable std::vector<std::uint64_t> versions_;
+  mutable std::vector<std::uint8_t> verdicts_;
 };
 
 }  // namespace oem

@@ -17,6 +17,14 @@
 // nonce reuse impossible within a store's lifetime, where a bare random draw
 // silently repeats a keystream at the birthday bound.
 //
+// The hot path is window-level: seal_blocks/open_blocks take a whole I/O
+// window and run its blocks in groups of four, interleaving the four
+// independent MAC chains word by word (one chain is a serial run of mix64
+// calls, so a single block leaves most of the core idle) and fusing
+// serialize+keystream on the way out and keystream+deserialize on the way in.
+// Every output word is identical to the per-block apply_keystream + mac
+// reference below; a multi-buffer AEAD would plug in at the same seam.
+//
 // This is NOT a real cipher or a real MAC; it exists so the simulation has
 // genuine "Bob cannot read contents" and "Bob cannot forge contents" code
 // paths (DESIGN.md substitution #2).  All obliviousness guarantees in this
@@ -50,6 +58,28 @@ class Encryptor {
   /// stale-but-once-valid block).
   Word mac(std::uint64_t block_index, Word nonce, std::uint64_t version,
            std::span<const Word> ciphertext) const;
+
+  /// Seal a window of n = ids.size() blocks of B = in.size() / n records:
+  /// block j (device block ids[j], nonce nonces[j], new version versions[j],
+  /// plaintext in[j*B, (j+1)*B)) becomes wire[j*bw, (j+1)*bw) laid out as
+  /// [nonce][mac][ciphertext], bw = kBlockHeaderWords + B * kWordsPerRecord.
+  /// Pure given its inputs, so compute lanes may seal disjoint chunks of one
+  /// window in parallel.
+  void seal_blocks(std::span<const std::uint64_t> ids,
+                   std::span<const Word> nonces,
+                   std::span<const std::uint64_t> versions,
+                   std::span<const Record> in, std::span<Word> wire) const;
+
+  /// Verify + decrypt a window sealed by seal_blocks, against the client-side
+  /// versions.  verdicts[j] = 1 when block j authenticates; a failing block
+  /// (tampered, swapped, rolled back, or bytes fabricated at version 0, where
+  /// the backend contract says a never-written block reads as all-zero) gets
+  /// 0 and its records zeroed, so tampered plaintext never reaches a caller
+  /// that ignores the verdict.  Other blocks are unaffected.
+  void open_blocks(std::span<const std::uint64_t> ids,
+                   std::span<const std::uint64_t> versions,
+                   std::span<const Word> wire, std::span<Record> out,
+                   std::span<std::uint8_t> verdicts) const;
 
   /// Nonce-counter persistence hooks for the durable freshness state: a
   /// restarted client restores the counter so counter-derived nonces keep

@@ -100,19 +100,24 @@ TEST(ComputePool, ParallelForExceptionPropagates) {
   }
 }
 
-// The invariant the whole PR hangs on: an end-to-end Session workload
-// produces byte-identical results AND a byte-identical device trace at any
-// compute_threads value.  (io_engine_test pins the trace matrix across
-// backends; this pins the thread axis on a sort + compact workload.)
-TEST(ComputePool, SessionResultsAndTraceIdenticalAtAnyLaneCount) {
-  const std::vector<Record> input = test::random_records(4096, 99);
+// The invariant the compute plane hangs on: an end-to-end Session workload
+// produces byte-identical results, a byte-identical device trace AND a
+// byte-identical ciphertext image in Bob's store at any compute_threads
+// value.  (io_engine_test pins the trace matrix across backends; this pins
+// the thread axis on a sort.)  B=8 keeps every crypto window inline on the
+// master; B=32 with m=128 gives the sort's merge windows (128 blocks, 8,448
+// wire words) enough words to fan the crypto out across the lanes.
+void expect_lane_count_invariant(std::size_t B, std::uint64_t M, std::uint64_t N) {
+  const std::vector<Record> input = test::random_records(N, 99);
   std::vector<TraceEvent> ref_events;
   std::vector<Record> ref_out;
+  std::vector<Word> ref_image;
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                               std::size_t{8}}) {
+    SCOPED_TRACE("B=" + std::to_string(B) + " threads=" + std::to_string(threads));
     auto built = Session::Builder()
-                     .block_records(8)
-                     .cache_records(256)
+                     .block_records(B)
+                     .cache_records(M)
                      .seed(7)
                      .compute_threads(threads)
                      .build();
@@ -126,16 +131,26 @@ TEST(ComputePool, SessionResultsAndTraceIdenticalAtAnyLaneCount) {
     ASSERT_TRUE(rep.ok()) << rep.status().ToString();
     auto out = s.retrieve(*a);
     ASSERT_TRUE(out.ok());
+    // Every stored word, scratch included, as Bob holds it.
+    BlockDevice& dev = s.client().device();
+    std::vector<Word> image(dev.num_blocks() * dev.block_words());
+    dev.read_raw_range(0, dev.num_blocks(), image);
     if (threads == 1) {
       ref_events = s.trace().events();
       ref_out = *out;
+      ref_image = std::move(image);
       ASSERT_TRUE(std::is_sorted(ref_out.begin(), ref_out.end(), RecordLess{}));
     } else {
-      EXPECT_TRUE(s.trace().events() == ref_events)
-          << "trace diverged at threads=" << threads;
-      EXPECT_EQ(*out, ref_out) << "output diverged at threads=" << threads;
+      EXPECT_TRUE(s.trace().events() == ref_events) << "trace diverged";
+      EXPECT_EQ(*out, ref_out) << "output diverged";
+      EXPECT_TRUE(image == ref_image) << "stored ciphertext diverged";
     }
   }
+}
+
+TEST(ComputePool, SessionResultsAndTraceIdenticalAtAnyLaneCount) {
+  expect_lane_count_invariant(/*B=*/8, /*M=*/256, /*N=*/4096);
+  expect_lane_count_invariant(/*B=*/32, /*M=*/4096, /*N=*/16384);
 }
 
 TEST(ComputePool, BuilderRejectsAbsurdLaneCount) {
