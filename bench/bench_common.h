@@ -1,7 +1,7 @@
 // Shared helpers for the experiment harness.  Every bench binary prints
 // markdown tables whose rows are quoted in EXPERIMENTS.md.
 //
-// All benches accept --backend=mem|file|latency (where it matters the rows
+// All benches accept --backend=mem|file (where it matters the rows
 // say which one ran) and hard-fail on unknown/malformed flags via
 // Flags::validate_or_die.
 #pragma once
@@ -151,27 +151,21 @@ inline bool fault_profile_from_flags(const Flags& flags, FaultProfile* profile) 
   return rate > 0.0;
 }
 
-/// Backend factory selected by --backend=mem|file|latency (default mem),
-/// composed with the I/O-engine flags: --shards=K stripes blocks over K
-/// independent stores and --prefetch wraps the stack in an AsyncBackend so
-/// the algorithms' pipelined hot loops overlap compute with storage I/O.
-/// For latency the composition is latency(sharded(mem x K)) with
-/// profile.lanes = K -- the parallel-disk model, where a striped batch
-/// streams over K links at once (per-word time divides by K on the calling
-/// thread) while the round trip stays whole.  The profile models a fast
-/// LAN-attached store: 20us round trip + 10ns/word streaming.
-/// Backend composition from flags.  `retry_attempts`, when non-null,
-/// receives the retry budget paired with the composed stack (4 when faults
-/// are injected, else 1) -- one parse decides both, so injection and
-/// recovery cannot drift apart.
+/// Backend factory selected by --backend=mem|file (default mem), composed
+/// with the I/O-engine flags: --shards=K stripes blocks over K independent
+/// stores and --prefetch wraps the stack in an AsyncBackend so the
+/// algorithms' pipelined hot loops overlap compute with storage I/O.
+/// `retry_attempts`, when non-null, receives the retry budget paired with
+/// the composed stack (4 when faults are injected, else 1) -- one parse
+/// decides both, so injection and recovery cannot drift apart.
 inline BackendFactory backend_from_flags(const Flags& flags,
                                          unsigned* retry_attempts = nullptr) {
   const std::string which = flags.get("backend", "mem");
   const std::size_t shards = static_cast<std::size_t>(flags.get_u64("shards", 1));
   const bool prefetch = flags.get_bool("prefetch", false);
-  // --cache-blocks=N wraps the stack in an N-block LRU write-back cache
-  // (CachingBackend), composed above latency/sharding/remote and under
-  // --prefetch, exactly like Session::Builder::cache.
+  // --cache-blocks=N wraps the stack in an N-block write-back cache
+  // (CachingBackend, scan-resistant policy), composed above sharding/remote
+  // and under --prefetch, exactly like Session::Builder::cache.
   const std::size_t cache_blocks =
       static_cast<std::size_t>(flags.get_u64("cache-blocks", 0));
   // --remote serves the chosen base store from an in-process loopback
@@ -275,9 +269,8 @@ inline BackendFactory backend_from_flags(const Flags& flags,
     return faulty_backend(std::move(base), p);
   };
   BackendFactory f;
-  const bool known = which == "mem" || which == "file" || which == "latency";
-  if (!known) {
-    std::fprintf(stderr, "unknown --backend=%s (mem|file|latency)\n", which.c_str());
+  if (which != "mem" && which != "file") {
+    std::fprintf(stderr, "unknown --backend=%s (mem|file)\n", which.c_str());
     std::exit(2);
   }
   BackendFactory base;
@@ -315,16 +308,6 @@ inline BackendFactory backend_from_flags(const Flags& flags,
     f = sharded_backend(std::move(per_shard), shards);
   } else {
     f = faulted(std::move(base), 0);
-  }
-  if (which == "latency") {
-    // Latency wraps the striped store with `lanes = shards` (the parallel-
-    // disk model): a batch striped over K stores streams over K links at
-    // once, while the round trip stays whole.
-    LatencyProfile profile;
-    profile.per_op_ns = 20000;
-    profile.per_word_ns = 10;
-    profile.lanes = shards;
-    f = latency_backend(std::move(f), profile);
   }
   if (cache_blocks > 0) {
     if (shared_cache)

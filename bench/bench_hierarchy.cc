@@ -44,13 +44,9 @@ double ms_between(std::chrono::steady_clock::time_point a,
       .count();
 }
 
-LatencyProfile counting_profile() {
-  LatencyProfile p;
-  p.per_op_ns = 1;
-  p.per_word_ns = 0;
-  p.real_sleep = false;  // pure op counter, no delay
-  return p;
-}
+/// Mem behind a zero-rate FaultyBackend: it never fails, and its ops()
+/// counts every data call that reaches the store below.
+BackendFactory counted_mem() { return faulty_backend(mem_backend(), FaultProfile{}); }
 
 // ---------------------------------------------------------------------------
 // Part (a): scan-resistant shared cache vs plain LRU.
@@ -70,10 +66,10 @@ CacheRun run_cache_policy(CachePolicy policy) {
   constexpr std::size_t kBw = 16;
   constexpr std::uint64_t kHot = 44, kSweep = 256, kEpochs = 20;
   SharedCacheHandle core = make_shared_cache(64, policy);
-  CachingBackend a(latency_backend(mem_backend(), counting_profile())(kBw), core);
-  CachingBackend b(latency_backend(mem_backend(), counting_profile())(kBw), core);
-  auto* a_ops = dynamic_cast<LatencyBackend*>(&a.inner());
-  auto* b_ops = dynamic_cast<LatencyBackend*>(&b.inner());
+  CachingBackend a(counted_mem()(kBw), core);
+  CachingBackend b(counted_mem()(kBw), core);
+  auto* a_ops = dynamic_cast<FaultyBackend*>(&a.inner());
+  auto* b_ops = dynamic_cast<FaultyBackend*>(&b.inner());
   CacheRun r;
   if (!a.resize(kHot).ok() || !b.resize(kSweep).ok()) return r;
   // Give the stores recognizable contents (through the cache, then flushed)

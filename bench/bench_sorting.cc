@@ -10,9 +10,9 @@
 //   E8c: correctness/success summary + non-oblivious external merge sort
 //        floor (the price of obliviousness).
 //   E8d: storage-backend reality check -- the batched read_many/write_many
-//        path vs per-block I/O on the file and latency backends, wall-clock.
-//   E8e: the I/O engine -- sharded striping x async prefetch on a 2us-RTT
-//        latency backend, wall-clock; optionally emitted as JSON for CI.
+//        path vs per-block I/O on the file backend, wall-clock.
+//   E8e: the I/O engine -- sharded striping x async prefetch on file-backed
+//        shards, wall-clock (informational); optionally emitted as JSON.
 //
 // Flags: --records=N scales every view (default 524288); --backend selects
 // the storage for E8a-E8c (E8d/E8e always compare configurations
@@ -151,86 +151,62 @@ void e8c(std::uint64_t n_max) {
 }
 
 // E8d: the storage seam made measurable.  The identical deterministic
-// oblivious sort (same block I/Os, same trace) runs against a real backend
+// oblivious sort (same block I/Os, same trace) runs against the file backend
 // twice: once with the batch window forced to 1 block (per-block I/O, the
 // seed's behavior) and once with the default coalescing window (m/4 blocks).
-// On the file backend the win is syscall coalescing; on the latency backend
-// it is round-trip amortization.
+// The win is syscall coalescing.
 void e8d(std::uint64_t records) {
-  bench::banner("E8d", "batched read_many/write_many vs per-block I/O (real backends)");
+  bench::banner("E8d", "batched read_many/write_many vs per-block I/O (file backend)");
   bench::note("same sort, same trace, same block I/Os -- only the transfer granularity "
               "changes; 'backend ops' counts coalesced backend calls");
   const std::size_t B = 8;
   const std::uint64_t m = 256;
-
-  struct Config {
-    std::string backend_name;
-    BackendFactory factory;
-    std::uint64_t n_blocks;
-  };
-  // The latency rows model a 2us-RTT store and sleep for real, so they run
-  // at a smaller n; the file rows exercise real syscalls at full size.
-  const std::uint64_t file_blocks = std::min<std::uint64_t>(records / B, 8192);
-  const std::uint64_t lat_blocks = std::min<std::uint64_t>(records / B, 1024);
-  LatencyProfile lan;
-  lan.per_op_ns = 2000;
-  lan.per_word_ns = 2;
-  std::vector<Config> configs = {
-      {"file", file_backend(), file_blocks},
-      {"latency(2us)", latency_backend({}, lan), lat_blocks},
-  };
+  const std::uint64_t n_blocks = std::min<std::uint64_t>(records / B, 8192);
 
   Table t({"backend", "n (blocks)", "batch (blocks)", "block I/Os", "backend ops",
            "wall ms", "speedup"});
-  for (const auto& cfg : configs) {
-    double per_block_ms = 0;
-    for (std::uint64_t batch : {std::uint64_t{1}, std::uint64_t{0}}) {  // 0 = auto
-      ClientParams p = bench::params(B, m * B);
-      p.backend = cfg.factory;
-      p.io_batch_blocks = batch;
-      Client c(p);
-      ExtArray a = c.alloc_blocks(cfg.n_blocks, Client::Init::kUninit);
-      c.poke(a, bench::random_records(cfg.n_blocks * B, 2));
-      c.reset_stats();
-      const auto t0 = std::chrono::steady_clock::now();
-      sortnet::ext_oblivious_sort(c, a);
-      const auto t1 = std::chrono::steady_clock::now();
-      const double ms =
-          std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(t1 - t0)
-              .count();
-      if (batch == 1) per_block_ms = ms;
-      t.add_row({cfg.backend_name, std::to_string(cfg.n_blocks),
-                 batch == 1 ? "1 (per-block)" : std::to_string(c.io_batch_blocks()),
-                 std::to_string(c.stats().total()),
-                 std::to_string(c.stats().total_ops()), Table::fmt(ms, 1),
-                 batch == 1 ? "1.00x" : Table::fmt(per_block_ms / ms, 2) + "x"});
-    }
+  double per_block_ms = 0;
+  for (std::uint64_t batch : {std::uint64_t{1}, std::uint64_t{0}}) {  // 0 = auto
+    ClientParams p = bench::params(B, m * B);
+    p.backend = file_backend();
+    p.io_batch_blocks = batch;
+    Client c(p);
+    ExtArray a = c.alloc_blocks(n_blocks, Client::Init::kUninit);
+    c.poke(a, bench::random_records(n_blocks * B, 2));
+    c.reset_stats();
+    const auto t0 = std::chrono::steady_clock::now();
+    sortnet::ext_oblivious_sort(c, a);
+    const auto t1 = std::chrono::steady_clock::now();
+    const double ms =
+        std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(t1 - t0)
+            .count();
+    if (batch == 1) per_block_ms = ms;
+    t.add_row({"file", std::to_string(n_blocks),
+               batch == 1 ? "1 (per-block)" : std::to_string(c.io_batch_blocks()),
+               std::to_string(c.stats().total()),
+               std::to_string(c.stats().total_ops()), Table::fmt(ms, 1),
+               batch == 1 ? "1.00x" : Table::fmt(per_block_ms / ms, 2) + "x"});
   }
   t.print(std::cout);
 }
 
 // E8e: the I/O engine end to end.  The identical deterministic oblivious
 // sort (same block I/Os, same trace -- the trace-equivalence suite proves
-// it) runs against a 2us-RTT latency-modeled store in four configurations:
-// {1, 4} shards x {off, on} prefetch.  Sharding makes the four simulated
-// stores stream -- and sleep -- in parallel; prefetch overlaps each pass's
-// compute with the next window's I/O through the AsyncBackend.
+// it) runs against file-backed shards in four configurations: {1, 4} shards
+// x {off, on} prefetch.  Sharding dispatches each batch's per-shard slices to
+// parallel workers; prefetch overlaps each pass's compute with the next
+// window's I/O through the AsyncBackend.  Wall times are informational: a
+// file store in the page cache costs little per op, so the grid mostly
+// shows the engine's own overhead.
 void e8e(const std::string& json_path) {
-  bench::banner("E8e", "I/O engine: sharded striping x async prefetch (latency backend)");
-  bench::note("same sort, same per-block trace; each store models a 2us-RTT, "
-              "~640 Mbps link (100ns/word), slept for real -- wall-clock is the "
-              "whole point: striping streams 4 links at once, prefetch hides "
-              "the client's compute inside the transfer time");
+  bench::banner("E8e", "I/O engine: sharded striping x async prefetch (file backend)");
+  bench::note("same sort, same per-block trace, same block I/Os in every row; "
+              "wall-clock is informational");
   // Fixed lab size (like E8d's caps): enough network passes that per-pass
-  // engine overheads amortize, small enough that four real-slept runs stay
-  // under ~100ms total.
+  // engine overheads amortize.
   const std::size_t B = 8;
   const std::uint64_t m = 256;
   const std::uint64_t n_blocks = 1024;
-  LatencyProfile lan;
-  lan.per_op_ns = 2000;
-  lan.per_word_ns = 100;
-  lan.real_sleep = true;
 
   struct Cfg {
     std::size_t shards;
@@ -242,11 +218,8 @@ void e8e(const std::string& json_path) {
   double base_ms = 0;
   std::string json_rows;
   for (const Cfg& cfg : cfgs) {
-    LatencyProfile profile = lan;
-    profile.lanes = cfg.shards;  // parallel-disk model over the striped store
-    BackendFactory f;
-    if (cfg.shards > 1) f = sharded_backend(BackendFactory{}, cfg.shards);
-    f = latency_backend(std::move(f), profile);
+    BackendFactory f = file_backend();
+    if (cfg.shards > 1) f = sharded_backend(std::move(f), cfg.shards);
     if (cfg.prefetch) f = async_backend(std::move(f));
     ClientParams p = bench::params(B, m * B);
     p.backend = std::move(f);
@@ -280,7 +253,7 @@ void e8e(const std::string& json_path) {
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     out << "{\"bench\":\"io_engine\",\"records\":" << n_blocks * B
-        << ",\"per_op_ns\":2000,\"per_word_ns\":100,\"rows\":[" << json_rows << "]}\n";
+        << ",\"store\":\"file\",\"rows\":[" << json_rows << "]}\n";
     bench::note("wrote " + json_path);
   }
 }

@@ -3,11 +3,11 @@
 // facade.
 //
 //   ./example_quickstart [--records=4096] [--B=8] [--M=512] [--seed=7]
-//                        [--backend=mem|file|latency] [--shards=K] [--prefetch]
+//                        [--backend=mem|file] [--shards=K] [--prefetch]
 //
 // Walks through the whole model: Alice's session with a small private cache,
-// Bob's storage backend holding only ciphertext (RAM, a file, or a
-// latency-modeled remote -- the choice is invisible to Bob's view), a
+// Bob's storage backend holding only ciphertext (RAM or a file -- the
+// choice is invisible to Bob's view), a
 // data-oblivious sort (Theorem 21 pipeline with the paper's dense-regime
 // rule), and the trace comparison that shows Bob learns nothing about the
 // values.
@@ -40,13 +40,8 @@ int main(int argc, char** argv) {
   builder.block_records(B).cache_records(M).seed(seed);
   if (backend == "file") {
     builder.file_backed();
-  } else if (backend == "latency") {
-    LatencyProfile profile;
-    profile.per_op_ns = 20000;  // 20us round trip
-    profile.per_word_ns = 10;
-    builder.latency(profile);
   } else if (backend != "mem") {
-    std::cerr << "unknown --backend=" << backend << " (mem|file|latency)\n";
+    std::cerr << "unknown --backend=" << backend << " (mem|file)\n";
     return 2;
   }
   // The I/O engine: stripe blocks over independent stores and overlap

@@ -146,12 +146,6 @@ Session::Builder& Session::Builder::shared_cache(SharedCacheHandle core) {
   return *this;
 }
 
-Session::Builder& Session::Builder::latency(LatencyProfile profile) {
-  wrap_latency_ = true;
-  profile_ = profile;
-  return *this;
-}
-
 Session::Builder& Session::Builder::sharded(std::size_t k) {
   shards_ = k;
   return *this;
@@ -170,7 +164,7 @@ Session::Builder& Session::Builder::fault_injection(std::uint64_t seed, double r
 }
 
 Session::Builder& Session::Builder::fault_injection(FaultProfile profile) {
-  inject_faults_ = profile.fail_rate > 0.0 || profile.slow_ns > 0;
+  inject_faults_ = profile.fail_rate > 0.0;
   fault_profile_ = profile;
   return *this;
 }
@@ -288,12 +282,9 @@ Result<Session> Session::Builder::build() const {
   // TamperingBackend -- the malicious server mutates what the base store
   // serves, so the Client's [nonce][mac] seal above the whole stack is what
   // must catch the lie -- then optionally wrapped in a FaultyBackend with
-  // its own sub-seed, so failures hit individual shards), striping, one
-  // latency model over the striped store (lanes = k, the parallel-disk
-  // model: simulated round trips to different shards overlap by
-  // construction), the write-back cache above everything that costs a round
-  // trip, async submission -- async(cache(latency(sharded(faulty(tamper(base))
-  // x k)))).
+  // its own sub-seed, so failures hit individual shards), striping, the
+  // write-back cache above everything that costs a round trip, async
+  // submission -- async(cache(sharded(faulty(tamper(base)) x k))).
   ShardFactory per_shard =
       [storage = storage_, file_opts = file_opts_, custom = custom_,
        host = remote_host_, port = remote_port_, store_namespace,
@@ -352,11 +343,6 @@ Result<Session> Session::Builder::build() const {
     return base(block_words);
   };
   BackendFactory factory = sharded_backend(std::move(per_shard), shards_);
-  if (wrap_latency_) {
-    LatencyProfile profile = profile_;
-    if (shards_ > 1) profile.lanes = shards_;
-    factory = latency_backend(std::move(factory), profile);
-  }
   if (cache_seen_) factory = caching_backend(std::move(factory), cache_blocks_);
   if (shared_cache_ != nullptr)
     factory = caching_backend(std::move(factory), shared_cache_);

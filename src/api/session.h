@@ -8,7 +8,7 @@
 //   auto built = oem::Session::Builder()
 //                    .block_records(8)        // B
 //                    .cache_records(512)      // M
-//                    .file_backed()           // or .in_memory() / .latency(...)
+//                    .file_backed()           // or .in_memory() / .remote(...)
 //                    .build();
 //   if (!built.ok()) { ... built.status() ... }
 //   oem::Session session = std::move(built).value();
@@ -17,7 +17,7 @@
 //   auto sorted = session.retrieve(*data);
 //
 // Layering: api (this file) -> core (the paper's algorithms) -> extmem
-// (client/device/trace) -> StorageBackend (mem / file / latency).  The trace
+// (client/device/trace) -> StorageBackend (mem / file / remote).  The trace
 // Bob observes is a function of (algorithm, N, M, B, seed) only -- never of
 // the data and never of the storage backend.
 #pragma once
@@ -135,18 +135,17 @@ class Session {
     /// exactly this order and rejects combinations that would break it:
     ///
     ///   async_prefetch          (outermost: the device drives submission)
-    ///     cache                 (above latency/sharding: a hit costs no
-    ///                            round trip; it sits below the Client's
+    ///     cache                 (above sharding: a hit costs no round
+    ///                            trip; it sits below the Client's
     ///                            [nonce][mac] seal, so it holds sealed
     ///                            blocks, never plaintext)
-    ///       latency             (the simulated wire)
-    ///         sharded           (striping; forwards split-phase, so depth
+    ///       sharded             (striping; forwards split-phase, so depth
     ///                            and striping multiply on a remote store)
-    ///           fault_injection (per-shard failures)
-    ///             tampering     (the malicious server, mutating what the
+    ///         fault_injection   (per-shard failures)
+    ///           tampering       (the malicious server, mutating what the
     ///                            base store serves -- innermost, so the
     ///                            Client seal above it is what must catch it)
-    ///               mem | file | backend(...) | remote  (the base store)
+    ///             mem | file | backend(...) | remote  (the base store)
     Builder& cache(std::size_t blocks);
     /// Attach this session's cache layer to a cache SHARED with other
     /// sessions (make_shared_cache in extmem/io_engine.h): one scan-resistant
@@ -159,11 +158,6 @@ class Session {
     /// with cache(); all sharing sessions must use the same block geometry
     /// (B), checked at build().
     Builder& shared_cache(SharedCacheHandle core);
-    /// Wrap the (possibly striped) store in a LatencyBackend.  With
-    /// sharding, the profile's `lanes` is set to the shard count: the
-    /// parallel-disk model, where striping divides streaming time but not
-    /// the round trip, so simulated delays to different shards overlap.
-    Builder& latency(LatencyProfile profile);
     /// Stripe blocks round-robin over k independent stores with parallel
     /// batch dispatch (k = 1 disables).  File-backed sessions with an
     /// explicit path get per-shard ".shard<i>" files; custom factories are
@@ -179,7 +173,8 @@ class Session {
     /// device gets a bounded retry policy (io_retries below).  Fault firing
     /// and recovery are invisible in the recorded trace; an unrecovered
     /// failure surfaces as StatusCode::kIo through Result<T>.  rate = 0
-    /// disables.  Fine-grained control (fail-N, slow shards): pass a profile.
+    /// disables.  Fine-grained control (fail-N, reads or writes only): pass a
+    /// profile.
     Builder& fault_injection(std::uint64_t seed, double rate);
     Builder& fault_injection(FaultProfile profile);
     /// Simulate a MALICIOUS server (TamperingBackend): each shard's base
@@ -236,8 +231,6 @@ class Session {
     bool remote_seen_ = false;
     std::string remote_host_;
     std::uint16_t remote_port_ = 0;
-    bool wrap_latency_ = false;
-    LatencyProfile profile_;
     std::size_t shards_ = 1;
     bool prefetch_ = false;
     bool inject_faults_ = false;

@@ -2,18 +2,12 @@
 
 #include <fcntl.h>
 #include <unistd.h>
-#ifdef __linux__
-#include <sys/prctl.h>
-#endif
 
 #include <algorithm>
 #include <cassert>
 #include <cerrno>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
-
 
 namespace oem {
 
@@ -274,68 +268,6 @@ Status FileBackend::do_write_many(std::span<const std::uint64_t> blocks,
 }
 
 // ---------------------------------------------------------------------------
-// LatencyBackend.
-
-LatencyBackend::LatencyBackend(std::unique_ptr<StorageBackend> inner,
-                               LatencyProfile profile)
-    : StorageBackend(inner->block_words()),
-      inner_(std::move(inner)),
-      profile_(profile) {}
-
-void LatencyBackend::pay(std::uint64_t words, std::uint64_t nblocks) {
-  ops_.fetch_add(1, std::memory_order_relaxed);
-  // A round-robin-striped op can use at most one lane per block it touches:
-  // a single-block read streams over exactly one link no matter how many
-  // lanes the store has.
-  const std::uint64_t lanes = std::min<std::uint64_t>(
-      std::max<std::size_t>(1, profile_.lanes), std::max<std::uint64_t>(1, nblocks));
-  const std::uint64_t ns =
-      profile_.per_op_ns + profile_.per_word_ns * ((words + lanes - 1) / lanes);
-  simulated_ns_.fetch_add(ns, std::memory_order_relaxed);
-  // The sleep happens on the calling thread; per-shard LatencyBackends driven
-  // by ShardedBackend workers therefore sleep concurrently, modeling K
-  // independent stores instead of one serial queue.  Linux pads sleeps with
-  // ~50us of timer slack by default, which would drown microsecond-scale
-  // round trips; request 1us slack once per sleeping thread.
-  if (profile_.real_sleep && ns > 0) {
-#ifdef __linux__
-    static thread_local bool slack_tightened = false;
-    if (!slack_tightened) {
-      ::prctl(PR_SET_TIMERSLACK, 1000, 0, 0, 0);
-      slack_tightened = true;
-    }
-#endif
-    std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
-  }
-}
-
-Status LatencyBackend::do_resize(std::uint64_t nblocks) {
-  return inner_->resize(nblocks);
-}
-
-Status LatencyBackend::do_read(std::uint64_t block, std::span<Word> out) {
-  pay(out.size(), 1);
-  return inner_->read(block, out);
-}
-
-Status LatencyBackend::do_write(std::uint64_t block, std::span<const Word> in) {
-  pay(in.size(), 1);
-  return inner_->write(block, in);
-}
-
-Status LatencyBackend::do_read_many(std::span<const std::uint64_t> blocks,
-                                    std::span<Word> out) {
-  pay(out.size(), blocks.size());  // one round trip for the whole batch
-  return inner_->read_many(blocks, out);
-}
-
-Status LatencyBackend::do_write_many(std::span<const std::uint64_t> blocks,
-                                     std::span<const Word> in) {
-  pay(in.size(), blocks.size());
-  return inner_->write_many(blocks, in);
-}
-
-// ---------------------------------------------------------------------------
 // Factories.
 
 BackendFactory mem_backend() {
@@ -345,14 +277,6 @@ BackendFactory mem_backend() {
 BackendFactory file_backend(FileBackendOptions opts) {
   return [opts](std::size_t block_words) {
     return std::make_unique<FileBackend>(block_words, opts);
-  };
-}
-
-BackendFactory latency_backend(BackendFactory inner, LatencyProfile profile) {
-  return [inner = std::move(inner), profile](std::size_t block_words)
-             -> std::unique_ptr<StorageBackend> {
-    auto base = inner ? inner(block_words) : std::make_unique<MemBackend>(block_words);
-    return std::make_unique<LatencyBackend>(std::move(base), profile);
   };
 }
 

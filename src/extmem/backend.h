@@ -7,15 +7,15 @@
 //
 //   * MemBackend     -- blocks in a flat in-RAM array (the seed's behavior);
 //   * FileBackend    -- blocks in a file, so data sets larger than RAM work
-//                       and I/O really hits the OS (pread/pwrite);
-//   * LatencyBackend -- a decorator injecting configurable per-op and
-//                       per-word delay, modeling a remote honest-but-curious
-//                       server across a network.
+//                       and I/O really hits the OS (pread/pwrite).
+//
+// A remote honest-but-curious server is RemoteBackend (extmem/remote.h),
+// which speaks the wire protocol to a real oem-server.
 //
 // Besides single-block read/write, backends implement *batched*
 // read_many/write_many so that implementations can coalesce work: FileBackend
-// merges runs of consecutive block ids into single syscalls, LatencyBackend
-// charges one round-trip for a whole batch.  Batching never changes the
+// merges runs of consecutive block ids into single syscalls, RemoteBackend
+// sends one frame for a whole batch.  Batching never changes the
 // adversary's view -- the BlockDevice layer above records the identical
 // per-block trace events in the identical order either way.
 //
@@ -322,60 +322,6 @@ class DirectFileBackend : public StorageBackend {
 };
 
 // ---------------------------------------------------------------------------
-// LatencyBackend: decorator modeling a remote server.
-
-struct LatencyProfile {
-  std::uint64_t per_op_ns = 0;    // fixed round-trip cost per backend call
-  std::uint64_t per_word_ns = 0;  // streaming cost per word transferred
-  /// Parallel transfer lanes (the Vitter-Shriver parallel-disk model): a
-  /// batch striped over `lanes` independent links streams in words/lanes
-  /// time while the round trip stays whole.  Wrap a ShardedBackend of K
-  /// stores in a LatencyBackend with lanes = K and the simulated sleeps of
-  /// the shards overlap by construction instead of serializing -- on any
-  /// host, single-core included.
-  std::size_t lanes = 1;
-  /// Actually sleep (wall-clock realism) vs. only account simulated time
-  /// (fast deterministic tests).
-  bool real_sleep = true;
-};
-
-class LatencyBackend : public StorageBackend {
- public:
-  LatencyBackend(std::unique_ptr<StorageBackend> inner, LatencyProfile profile);
-  const char* name() const override { return "latency"; }
-  Status health() const override { return inner_->health(); }
-
-  StorageBackend& inner() { return *inner_; }
-  const StorageBackend& inner() const { return *inner_; }
-  const StorageBackend* inner_backend() const override { return inner_.get(); }
-  Status flush() override { return inner_->flush(); }
-  /// Backend calls observed and total simulated delay charged so far.
-  /// Atomic: a LatencyBackend inside a ShardedBackend/AsyncBackend is driven
-  /// from worker threads while the main thread reads the counters; sleeps on
-  /// different shards overlap instead of serializing.
-  std::uint64_t ops() const { return ops_.load(std::memory_order_relaxed); }
-  std::uint64_t simulated_ns() const {
-    return simulated_ns_.load(std::memory_order_relaxed);
-  }
-
- protected:
-  Status do_resize(std::uint64_t nblocks) override;
-  Status do_read(std::uint64_t block, std::span<Word> out) override;
-  Status do_write(std::uint64_t block, std::span<const Word> in) override;
-  Status do_read_many(std::span<const std::uint64_t> blocks, std::span<Word> out) override;
-  Status do_write_many(std::span<const std::uint64_t> blocks,
-                       std::span<const Word> in) override;
-
- private:
-  void pay(std::uint64_t words, std::uint64_t nblocks);
-
-  std::unique_ptr<StorageBackend> inner_;
-  LatencyProfile profile_;
-  std::atomic<std::uint64_t> ops_{0};
-  std::atomic<std::uint64_t> simulated_ns_{0};
-};
-
-// ---------------------------------------------------------------------------
 // Factory helpers.
 
 BackendFactory mem_backend();
@@ -383,7 +329,5 @@ BackendFactory file_backend(FileBackendOptions opts = {});
 /// DirectFileBackend (io_uring + O_DIRECT, threaded fallback).  For sharded
 /// stacks pass a distinct path per shard or leave `opts.path` empty.
 BackendFactory direct_file_backend(DirectFileOptions opts = {});
-/// Wrap the backend produced by `inner` (null = mem) in a LatencyBackend.
-BackendFactory latency_backend(BackendFactory inner, LatencyProfile profile);
 
 }  // namespace oem

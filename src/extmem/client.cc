@@ -30,7 +30,6 @@ Client::Client(const ClientParams& params)
     : B_(params.block_records),
       M_(params.cache_records),
       io_batch_(params.io_batch_blocks),
-      compute_model_ns_(params.compute_model_ns_per_block),
       state_path_(params.state_path),
       seed_(params.seed),
       store_namespace_(params.store_namespace),

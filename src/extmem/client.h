@@ -1,11 +1,11 @@
 // Client: Alice's side of the outsourced-storage protocol.
 //
-// Owns the (simulated) remote BlockDevice, the encryption state, the private
+// Owns the outsourced BlockDevice, the encryption state, the private
 // cache meter, and the master PRG.  All algorithm I/O flows through
 // read_block/write_block (or their batched read_blocks/write_blocks
 // counterparts), which (de/en)crypt and are counted + traced by the device --
 // exactly the adversary's view in the paper's model.  Which physical storage
-// backs the device (RAM, file, latency-modeled remote) is chosen via
+// backs the device (RAM, file, remote oem-server) is chosen via
 // ClientParams::backend and is invisible to both the algorithms and Bob's
 // trace.
 //
@@ -63,11 +63,6 @@ struct ClientParams {
   /// the device trace (and every ciphertext) is byte-identical at any lane
   /// count -- only wall time changes.
   std::size_t compute_threads = 1;
-  /// Modeled per-block compute cost (ns) added in the pipeline compute phase
-  /// -- slept on whichever lane computes the block, so multicore scaling
-  /// claims are core-count independent (the bench_server_load precedent).
-  /// 0 = off (the default; real workloads pay only their real compute).
-  std::uint64_t compute_model_ns_per_block = 0;
   /// Durable freshness state file (extmem/freshness.h).  Empty = the PR 8
   /// behavior: the anti-rollback table lives and dies with the process.
   /// Non-empty: persist_state() (and the destructor, best-effort) seal the
@@ -111,8 +106,6 @@ class Client {
   rng::Xoshiro& rng() { return rng_; }
   /// The compute plane's worker pool (threads() == 1 means serial/inline).
   ComputePool& compute_pool() { return *pool_; }
-  /// Modeled per-block compute cost for the pipeline (0 = off).
-  std::uint64_t compute_model_ns_per_block() const { return compute_model_ns_; }
 
   enum class Init { kUninit, kEmpty };
 
@@ -216,7 +209,6 @@ class Client {
   std::size_t B_;
   std::uint64_t M_;
   std::uint64_t io_batch_;
-  std::uint64_t compute_model_ns_;
   std::string state_path_;
   std::uint64_t seed_;             // keys the state-file MAC (domain-separated)
   std::uint64_t store_namespace_;  // persisted so a restart reuses it

@@ -3,13 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#if defined(__linux__)
-#include <sys/prctl.h>
-#ifndef PR_SET_TIMERSLACK
-#define PR_SET_TIMERSLACK 29
-#endif
-#endif
-
 namespace oem {
 
 ComputePool::ComputePool(std::size_t threads)
@@ -47,11 +40,6 @@ bool ComputePool::run_one(std::unique_lock<std::mutex>& lock) {
 }
 
 void ComputePool::worker_loop() {
-#if defined(__linux__)
-  // Default timer slack (50us) would blur the sub-millisecond sleeps the
-  // compute model (ClientParams::compute_model_ns_per_block) relies on.
-  ::prctl(PR_SET_TIMERSLACK, 1000, 0, 0, 0);
-#endif
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });

@@ -1,7 +1,7 @@
 // BlockDevice: Bob's outsourced storage, as the adversary sees it.
 //
 // A flat arena of fixed-size blocks of Words whose bytes physically live in a
-// pluggable StorageBackend (RAM, a file, a latency-modeled remote -- see
+// pluggable StorageBackend (RAM, a file, a remote oem-server -- see
 // extmem/backend.h).  Every counted read/write increments I/O counters and is
 // reported to the TraceRecorder -- this is precisely the view the
 // honest-but-curious server gets (sequence + location of accesses, ciphertext

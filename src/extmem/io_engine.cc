@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cstring>
 #include <iterator>
 #include <string>
@@ -545,8 +544,7 @@ AsyncBackend::Ticket AsyncBackend::submit_read_many(
     queued_.fetch_add(1, std::memory_order_release);
   }
   queue_cv_.notify_one();
-  // Hand the core to the I/O thread so it can *start* the transfer (or its
-  // simulated sleep) before the caller's compute claims the CPU -- without
+  // Hand the core to the I/O thread so it can *start* the transfer before the caller's compute claims the CPU -- without
   // this, a single-core host serializes prefetch behind compute.
   std::this_thread::yield();
   return t;
@@ -654,8 +652,6 @@ FaultyBackend::FaultyBackend(std::unique_ptr<StorageBackend> inner,
 
 Status FaultyBackend::gate(bool is_write) {
   ops_.fetch_add(1, std::memory_order_relaxed);
-  if (profile_.slow_ns > 0)
-    std::this_thread::sleep_for(std::chrono::nanoseconds(profile_.slow_ns));
   const bool eligible = is_write ? profile_.fail_writes : profile_.fail_reads;
   if (!eligible || profile_.fail_rate <= 0.0) return Status::Ok();
   std::lock_guard<std::mutex> lk(mu_);

@@ -8,8 +8,7 @@
 //   * ShardedBackend -- stripes blocks round-robin over K inner backends
 //     (block b lives on shard b mod K at inner index b div K) and dispatches
 //     the per-shard slices of a read_many/write_many batch to persistent
-//     worker threads, so K stores transfer -- and K LatencyBackends sleep --
-//     in parallel.  When the shards themselves support split-phase I/O
+//     worker threads, so K stores transfer in parallel.  When the shards themselves support split-phase I/O
 //     (max_inflight() > 1 -- K RemoteBackends, one connection each), the
 //     split-phase face is forwarded: a begun batch is split into per-shard
 //     sub-frames begun on ALL shards back to back, and completed FIFO per
@@ -29,8 +28,8 @@
 //     keeps its wire pipelining, and a synchronous single-block miss that
 //     continues an ascending stream reads the next blocks ahead in the
 //     same inner frame.  Sits BELOW the Client's [nonce][mac] seal (it holds
-//     sealed blocks, never plaintext) and ABOVE latency/sharding (a hit
-//     must cost no simulated round trip); Session::Builder::cache composes
+//     sealed blocks, never plaintext) and ABOVE sharding/remote (a hit
+//     must cost no round trip); Session::Builder::cache composes
 //     it there.  The BlockDevice records the trace at submit time ABOVE
 //     this decorator, so Bob's recorded view is unchanged -- the cache only
 //     changes which of those accesses still reach the wire, a function of
@@ -342,9 +341,6 @@ struct FaultProfile {
   /// recovers), N = fail-N (recovers with >= N+1 attempts, exhausts
   /// smaller retry budgets).
   unsigned fail_times = 1;
-  /// "Slow shard": added real delay per op, modeling a degraded store.
-  /// Never affects results or the recorded trace -- only wall-clock.
-  std::uint64_t slow_ns = 0;
   bool fail_reads = true;
   bool fail_writes = true;
 };
@@ -693,8 +689,8 @@ SharedCacheHandle make_shared_cache(std::size_t capacity_blocks,
 ///
 /// Placement (Session::Builder::cache enforces this order): below the
 /// Client's [nonce][mac] seal (the cache holds sealed blocks, exactly as the
-/// store below would) and above latency/sharding/remote, so a hit costs no
-/// round trip, simulated or real.
+/// store below would) and above sharding/remote, so a hit costs no
+/// round trip.
 /// `capacity_blocks` must be >= 1; 0 is rejected at health().
 ///
 /// Failure semantics: writes are atomic-by-rejection like every other
@@ -951,7 +947,7 @@ BackendFactory tampering_backend(BackendFactory inner, TamperProfile profile);
 /// Wrap the backend produced by `inner` (null = mem) in a CachingBackend of
 /// `capacity_blocks` blocks (private core; scan-resistant by default, pass
 /// CachePolicy::kLru for the v1 single-list baseline).  Compose ABOVE
-/// sharding/latency and UNDER async_backend;
+/// sharding/remote and UNDER async_backend;
 /// Session::Builder::cache does exactly that.
 BackendFactory caching_backend(BackendFactory inner, std::size_t capacity_blocks,
                                CachePolicy policy = CachePolicy::kScanResistant);

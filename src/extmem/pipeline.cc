@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <thread>
 
 #include "extmem/arena.h"
 
@@ -79,14 +78,6 @@ std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
           .count());
-}
-
-/// Modeled per-block compute cost (ClientParams::compute_model_ns_per_block):
-/// slept on whichever lane computes the blocks, so bench scaling claims are
-/// core-count independent (the bench_server_load precedent).
-void model_compute(std::uint64_t model_ns, std::uint64_t blocks) {
-  if (model_ns == 0 || blocks == 0) return;
-  std::this_thread::sleep_for(std::chrono::nanoseconds(model_ns * blocks));
 }
 
 void run_block_pipeline_impl(Client& client, std::uint64_t passes,
@@ -165,7 +156,6 @@ void run_block_pipeline_impl(Client& client, std::uint64_t passes,
   // the lease covers the same max(reads, writes) blocks as the serial path,
   // so strict-cache accounting is identical at any lane count.
   std::vector<Record> obuf;
-  const std::uint64_t model_ns = client.compute_model_ns_per_block();
   DrainOnUnwind unwind_guard{dev};
 
   std::uint64_t described = 0;  // windows [0, described) have run describe()
@@ -217,7 +207,6 @@ void run_block_pipeline_impl(Client& client, std::uint64_t passes,
     std::span<const Record> wsrc;
     if (compute.serial != nullptr) {
       (*compute.serial)(t, std::span<Record>(buf).first(nblocks * B));
-      model_compute(model_ns, nblocks);
       wsrc = std::span<const Record>(buf).first(out_blocks * B);
     } else {
       obuf.resize(out_blocks * B);
@@ -228,7 +217,6 @@ void run_block_pipeline_impl(Client& client, std::uint64_t passes,
             compute.chunked->chunk(
                 t, in, first,
                 std::span<Record>(obuf).subspan(first * B, (last - first) * B));
-            model_compute(model_ns, last - first);
           });
       wsrc = std::span<const Record>(obuf);
     }

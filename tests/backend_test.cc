@@ -68,14 +68,6 @@ BackendFactory shared_cache_two_sessions_backend() {
   };
 }
 
-LatencyProfile fast_profile() {
-  LatencyProfile p;
-  p.per_op_ns = 1000;
-  p.per_word_ns = 10;
-  p.real_sleep = false;  // account only: deterministic, fast
-  return p;
-}
-
 struct BackendCase {
   std::string name;
   BackendFactory factory;
@@ -85,11 +77,8 @@ std::vector<BackendCase> conformance_cases() {
   return {
       {"mem", mem_backend()},
       {"file", file_backend()},
-      {"latency_mem", latency_backend(mem_backend(), fast_profile())},
-      {"latency_file", latency_backend(file_backend(), fast_profile())},
       {"sharded4_mem", sharded_backend(mem_backend(), 4)},
       {"sharded3_file", sharded_backend(file_backend(), 3)},
-      {"sharded4_latency", sharded_backend(latency_backend(mem_backend(), fast_profile()), 4)},
       {"async_mem", async_backend(mem_backend())},
       {"async_sharded4", async_backend(sharded_backend(mem_backend(), 4))},
       {"cache_mem", caching_backend(mem_backend(), 8)},
@@ -257,36 +246,11 @@ TEST(FileBackend, UnopenablePathReportsIoStatus) {
   EXPECT_EQ(fb.read(0, out).code(), StatusCode::kIo);
 }
 
-TEST(LatencyBackend, ChargesOneRoundTripPerBatch) {
-  LatencyProfile p;
-  p.per_op_ns = 1000;
-  p.per_word_ns = 1;
-  p.real_sleep = false;
-  auto lb = std::make_unique<LatencyBackend>(std::make_unique<MemBackend>(4), p);
-  ASSERT_TRUE(lb->resize(32).ok());
-
-  std::vector<Word> one(4);
-  ASSERT_TRUE(lb->read(0, one).ok());
-  EXPECT_EQ(lb->ops(), 1u);
-  EXPECT_EQ(lb->simulated_ns(), 1000u + 4u);
-
-  // 8 blocks batched: one op, 8 blocks' worth of streaming.
-  std::vector<std::uint64_t> ids = {0, 1, 2, 3, 4, 5, 6, 7};
-  std::vector<Word> buf(8 * 4);
-  ASSERT_TRUE(lb->read_many(ids, buf).ok());
-  EXPECT_EQ(lb->ops(), 2u);
-  EXPECT_EQ(lb->simulated_ns(), (1000u + 4u) + (1000u + 32u));
-
-  // The same 8 blocks read singly: 8 ops, 8 round trips.
-  for (std::uint64_t b : ids) ASSERT_TRUE(lb->read(b, one).ok());
-  EXPECT_EQ(lb->ops(), 10u);
-  EXPECT_EQ(lb->simulated_ns(), (1000u + 4u) + (1000u + 32u) + 8 * (1000u + 4u));
-}
-
 // ---------------------------------------------------------------------------
 // The tentpole guarantee: obliviousness is backend-independent.  The same
 // algorithm with the same public parameters and seed produces the
-// byte-identical access trace on all three backends, and the same result.
+// byte-identical access trace on every conformance backend, and the same
+// result.
 
 TEST(BackendTraceEquivalence, ObliviousSortIdenticalTraceOnAllBackends) {
   const std::size_t B = 4;

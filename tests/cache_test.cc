@@ -28,28 +28,19 @@ namespace {
 
 constexpr std::size_t kBw = 4;
 
-LatencyProfile counting_profile() {
-  LatencyProfile p;
-  p.per_op_ns = 1;
-  p.per_word_ns = 0;
-  p.real_sleep = false;  // pure op counter, no delay
-  return p;
-}
-
-/// cache(capacity) over a counting latency decorator over mem: the latency
-/// layer's ops() counter is exactly "inner ops the cache did not absorb".
+/// cache(capacity) over the op counter over mem: the counter's ops() is
+/// exactly "inner ops the cache did not absorb".
 struct CacheRig {
   explicit CacheRig(std::size_t capacity) {
-    auto counted = latency_backend(mem_backend(), counting_profile());
-    backend = caching_backend(std::move(counted), capacity)(kBw);
+    backend = caching_backend(test::counted_mem(), capacity)(kBw);
     cache = dynamic_cast<CachingBackend*>(backend.get());
-    counter = dynamic_cast<LatencyBackend*>(&cache->inner());
+    counter = dynamic_cast<FaultyBackend*>(&cache->inner());
   }
   std::vector<Word> block(Word salt) const { return std::vector<Word>(kBw, salt); }
 
   std::unique_ptr<StorageBackend> backend;
   CachingBackend* cache = nullptr;
-  LatencyBackend* counter = nullptr;
+  FaultyBackend* counter = nullptr;
 };
 
 TEST(CachingBackend, ReadsHitAfterFirstTouchAndAbsorbInnerOps) {
@@ -668,10 +659,10 @@ TEST(CachingBackend, SharedCoreReadaheadNeverTouchesAnotherViewsDirtyBlocks) {
   // residents; A's stream reads ahead past them, evicting only its own
   // clean blocks, and nothing reaches B's inner store.
   auto core = make_shared_cache(32);
-  CachingBackend a(latency_backend(mem_backend(), counting_profile())(kBw), core);
-  CachingBackend b(latency_backend(mem_backend(), counting_profile())(kBw), core);
-  auto* a_ops = dynamic_cast<LatencyBackend*>(&a.inner());
-  auto* b_ops = dynamic_cast<LatencyBackend*>(&b.inner());
+  CachingBackend a(test::counted_mem()(kBw), core);
+  CachingBackend b(test::counted_mem()(kBw), core);
+  auto* a_ops = dynamic_cast<FaultyBackend*>(&a.inner());
+  auto* b_ops = dynamic_cast<FaultyBackend*>(&b.inner());
   ASSERT_TRUE(a.resize(64).ok());
   ASSERT_TRUE(b.resize(32).ok());
   for (std::uint64_t blk = 0; blk < 20; ++blk)

@@ -8,7 +8,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "api/session.h"
@@ -87,6 +92,30 @@ TEST(ComputePool, ParallelForGrainZeroSplitsAcrossLanes) {
   });
   EXPECT_EQ(total.load(), 1000u);
   pool.parallel_for(0, 0, [&](std::size_t, std::size_t) { FAIL(); });
+}
+
+TEST(ComputePool, ParallelForRunsItsChunksConcurrently) {
+  // One chunk per lane, and every chunk waits until all of them have
+  // entered: only a pool that really runs its chunks at once gets every
+  // chunk past the latch.  The wait is bounded by one shared deadline, so a
+  // pool that ran the chunks one after another fails here instead of
+  // hanging.
+  constexpr std::size_t kLanes = 4;
+  ComputePool pool(kLanes);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t entered = 0;
+  std::size_t released = 0;  // chunks that saw every lane inside at once
+  std::set<std::thread::id> lanes;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  pool.parallel_for(kLanes, 1, [&](std::size_t, std::size_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    lanes.insert(std::this_thread::get_id());
+    if (++entered == kLanes) cv.notify_all();
+    if (cv.wait_until(lock, deadline, [&] { return entered == kLanes; })) ++released;
+  });
+  EXPECT_EQ(released, kLanes) << "parallel_for ran its chunks serially";
+  EXPECT_GE(lanes.size(), 2u) << "every chunk ran on the same thread";
 }
 
 TEST(ComputePool, ParallelForExceptionPropagates) {

@@ -26,28 +26,18 @@ namespace {
 
 constexpr std::size_t kBw = 4;
 
-LatencyProfile counting_profile() {
-  LatencyProfile p;
-  p.per_op_ns = 1;
-  p.per_word_ns = 0;
-  p.real_sleep = false;  // pure op counter, no delay
-  return p;
-}
-
-/// cache(capacity, policy) over a counting latency decorator over mem: the
-/// latency layer's ops() counter is exactly "inner ops the cache did not
-/// absorb".
+/// cache(capacity, policy) over the op counter over mem: the counter's ops()
+/// is exactly "inner ops the cache did not absorb".
 struct PolicyRig {
   PolicyRig(std::size_t capacity, CachePolicy policy) {
-    auto counted = latency_backend(mem_backend(), counting_profile());
-    backend = caching_backend(std::move(counted), capacity, policy)(kBw);
+    backend = caching_backend(test::counted_mem(), capacity, policy)(kBw);
     cache = dynamic_cast<CachingBackend*>(backend.get());
-    counter = dynamic_cast<LatencyBackend*>(&cache->inner());
+    counter = dynamic_cast<FaultyBackend*>(&cache->inner());
   }
 
   std::unique_ptr<StorageBackend> backend;
   CachingBackend* cache = nullptr;
-  LatencyBackend* counter = nullptr;
+  FaultyBackend* counter = nullptr;
 };
 
 /// The workload of the scan-resistance claim: a hot set touched twice (an
@@ -105,10 +95,8 @@ TEST(ScanResistance, ProtectedOverflowDemotesInsteadOfPinningForever) {
 
 TEST(SharedCache, TwoViewsShareResidencyButKeepNamespacesAndStats) {
   SharedCacheHandle core = make_shared_cache(8);
-  auto a = std::make_unique<CachingBackend>(
-      latency_backend(mem_backend(), counting_profile())(kBw), core);
-  auto b = std::make_unique<CachingBackend>(
-      latency_backend(mem_backend(), counting_profile())(kBw), core);
+  auto a = std::make_unique<CachingBackend>(test::counted_mem()(kBw), core);
+  auto b = std::make_unique<CachingBackend>(test::counted_mem()(kBw), core);
   ASSERT_TRUE(a->health().ok()) << a->health();
   ASSERT_TRUE(b->health().ok()) << b->health();
   EXPECT_NE(a->view_id(), b->view_id());
@@ -140,7 +128,7 @@ TEST(SharedCache, TwoViewsShareResidencyButKeepNamespacesAndStats) {
       ASSERT_TRUE(b->read(blk, out).ok());
   ASSERT_GT(a->stats().writebacks, 0u)
       << "B's protected-segment pressure never evicted A's dirty block";
-  auto* a_counter = dynamic_cast<LatencyBackend*>(&a->inner());
+  auto* a_counter = dynamic_cast<FaultyBackend*>(&a->inner());
   ASSERT_TRUE(a_counter->inner().read(3, out).ok());  // probe below the counter
   EXPECT_EQ(out, std::vector<Word>(kBw, 0xA))
       << "cross-view eviction must write back through the owning view";

@@ -30,14 +30,6 @@
 namespace oem {
 namespace {
 
-LatencyProfile fast_profile() {
-  LatencyProfile p;
-  p.per_op_ns = 1000;
-  p.per_word_ns = 10;
-  p.real_sleep = false;
-  return p;
-}
-
 // ---------------------------------------------------------------------------
 // ShardedBackend.
 
@@ -71,7 +63,9 @@ TEST(ShardedBackend, BatchesDispatchToWorkersInParallel) {
   constexpr std::size_t kBw = 4;
   // Force the worker pool on so the parallel path is exercised (and raced
   // under TSan) even on single-core CI hosts.
-  auto factory = sharded_backend(latency_backend(mem_backend(), fast_profile()), 4,
+  // Each shard is test::counted_mem(): its ops() counts the data calls that
+  // reach that shard.
+  auto factory = sharded_backend(test::counted_mem(), 4,
                                  /*parallel_dispatch=*/1);
   auto backend = factory(kBw);
   auto* sharded = dynamic_cast<ShardedBackend*>(backend.get());
@@ -86,13 +80,12 @@ TEST(ShardedBackend, BatchesDispatchToWorkersInParallel) {
   EXPECT_EQ(sharded->parallel_dispatches(), 2u)
       << "a multi-shard batch must take the worker-pool path";
 
-  // Each shard's LatencyBackend saw exactly one op per batch: round trips to
-  // different shards are charged (and slept) in parallel, not serialized.
+  // Each shard saw exactly one op per batch: the batch is split into one
+  // per-shard slice, not replayed block by block.
   for (std::size_t s = 0; s < 4; ++s) {
-    auto* lat = dynamic_cast<LatencyBackend*>(&sharded->shard(s));
-    ASSERT_NE(lat, nullptr);
-    EXPECT_EQ(lat->ops(), 2u) << "shard " << s;
-    EXPECT_EQ(lat->simulated_ns(), 2 * (1000u + 10u * 8 * kBw)) << "shard " << s;
+    auto* counter = dynamic_cast<FaultyBackend*>(&sharded->shard(s));
+    ASSERT_NE(counter, nullptr);
+    EXPECT_EQ(counter->ops(), 2u) << "shard " << s;
   }
 
   // A single-shard batch runs inline (no dispatch overhead).

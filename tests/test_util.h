@@ -6,9 +6,16 @@
 #include <vector>
 
 #include "extmem/client.h"
+#include "extmem/io_engine.h"
 #include "rng/random.h"
 
 namespace oem::test {
+
+/// Mem behind a zero-rate FaultyBackend: it never fails, and its ops()
+/// counts every data call (sync or begun) that reaches the store below.
+inline BackendFactory counted_mem() {
+  return faulty_backend(mem_backend(), FaultProfile{});
+}
 
 inline ClientParams params(std::size_t B, std::uint64_t M, std::uint64_t seed = 1) {
   ClientParams p;
