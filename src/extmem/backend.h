@@ -186,8 +186,8 @@ class FileBackend : public StorageBackend {
   /// fsync: acknowledged writes survive the process.
   Status flush() override;
   /// pread/pwrite calls issued -- shows read_many/write_many coalescing.
-  /// Atomic: shard workers and the async I/O thread bump it concurrently
-  /// with a main-thread reader.
+  /// Atomic: the async I/O thread bumps it concurrently with a main-thread
+  /// reader.
   std::uint64_t syscalls() const { return syscalls_.load(std::memory_order_relaxed); }
 
  protected:

@@ -21,7 +21,7 @@ std::uint64_t shard_capacity(std::uint64_t nblocks, std::size_t s, std::size_t k
 }
 
 /// Brief busy-wait before parking on a condition variable: batch latencies
-/// are microseconds, so a futex sleep/wake per dispatch would dominate.
+/// are microseconds, so a futex sleep/wake per op would dominate.
 constexpr int kSpinIters = 2048;
 
 inline void cpu_relax() {
@@ -38,32 +38,11 @@ inline void cpu_relax() {
 // ShardedBackend.
 
 ShardedBackend::ShardedBackend(std::size_t block_words,
-                               std::vector<std::unique_ptr<StorageBackend>> shards,
-                               bool parallel_dispatch)
-    : StorageBackend(block_words),
-      shards_(std::move(shards)),
-      sub_(shards_.size()),
-      parallel_(parallel_dispatch && shards_.size() > 1) {
+                               std::vector<std::unique_ptr<StorageBackend>> shards)
+    : StorageBackend(block_words), shards_(std::move(shards)), sub_(shards_.size()) {
   assert(!shards_.empty());
   for ([[maybe_unused]] const auto& s : shards_)
     assert(s && s->block_words() == block_words);
-  if (parallel_) {
-    workers_.reserve(shards_.size());
-    for (std::size_t s = 0; s < shards_.size(); ++s)
-      workers_.emplace_back([this, s] { worker_loop(s); });
-  }
-}
-
-ShardedBackend::~ShardedBackend() {
-  if (!workers_.empty()) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stop_ = true;
-      gen_.fetch_add(1, std::memory_order_release);
-    }
-    work_cv_.notify_all();
-    for (auto& w : workers_) w.join();
-  }
 }
 
 Status ShardedBackend::health() const {
@@ -96,7 +75,6 @@ void ShardedBackend::partition(std::span<const std::uint64_t> blocks) {
   for (auto& sb : sub_) {
     sb.inner_ids.clear();
     sb.flat.clear();
-    sb.status = Status::Ok();
   }
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     SubBatch& sb = sub_[blocks[i] % k];
@@ -118,124 +96,21 @@ bool contiguous_run(const std::vector<std::size_t>& flat) {
 
 }  // namespace
 
-void ShardedBackend::run_shard(std::size_t s) {
-  SubBatch& sb = sub_[s];
-  const std::size_t bw = block_words();
-  // Zero-copy fast path: a single-shard (or otherwise contiguous) slice
-  // borrows the caller's span directly -- no gather/scatter memcpy hop.
-  if (contiguous_run(sb.flat)) {
-    const std::size_t first = sb.flat.empty() ? 0 : sb.flat[0];
-    const std::size_t words = sb.inner_ids.size() * bw;
-    sb.status = job_is_write_
-                    ? shards_[s]->write_many(sb.inner_ids,
-                                             job_win_.subspan(first * bw, words))
-                    : shards_[s]->read_many(sb.inner_ids,
-                                            job_rout_.subspan(first * bw, words));
-    return;
-  }
-  sb.staging.resize(sb.inner_ids.size() * bw);
-  if (job_is_write_) {
-    for (std::size_t j = 0; j < sb.flat.size(); ++j)
-      std::memcpy(sb.staging.data() + j * bw, job_win_.data() + sb.flat[j] * bw,
-                  bw * sizeof(Word));
-    sb.status = shards_[s]->write_many(
-        sb.inner_ids, std::span<const Word>(sb.staging.data(), sb.staging.size()));
-  } else {
-    sb.status = shards_[s]->read_many(
-        sb.inner_ids, std::span<Word>(sb.staging.data(), sb.staging.size()));
-    if (sb.status.ok())
-      for (std::size_t j = 0; j < sb.flat.size(); ++j)
-        std::memcpy(job_rout_.data() + sb.flat[j] * bw, sb.staging.data() + j * bw,
-                    bw * sizeof(Word));
-  }
-}
-
-void ShardedBackend::worker_loop(std::size_t s) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    for (int i = 0; i < kSpinIters && gen_.load(std::memory_order_acquire) == seen; ++i)
-      cpu_relax();
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      work_cv_.wait(lk, [&] {
-        return gen_.load(std::memory_order_relaxed) != seen || stop_;
-      });
-      if (stop_) return;
-      seen = gen_.load(std::memory_order_relaxed);
-    }
-    if (s != inline_shard_ && !sub_[s].inner_ids.empty()) run_shard(s);
-    // EVERY worker checks in on every generation -- also the ones with an
-    // empty slice.  run_batch() cannot return (and the caller cannot start
-    // repartitioning sub_ for the next batch) until all workers have caught
-    // up to this generation, so no stale worker can ever observe a newer
-    // batch's state or run a slice twice.
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lk(mu_);
-      done_cv_.notify_all();
-    }
-  }
-}
-
-Status ShardedBackend::run_batch(bool is_write, std::span<Word> rout,
-                                 std::span<const Word> win) {
-  std::size_t involved = 0, last = 0;
-  for (std::size_t s = 0; s < sub_.size(); ++s)
-    if (!sub_[s].inner_ids.empty()) {
-      ++involved;
-      last = s;
-    }
-  if (involved == 0) return Status::Ok();
-
-  job_is_write_ = is_write;
-  job_rout_ = rout;
-  job_win_ = win;
-  inline_shard_ = last;
-
-  if (!parallel_) {
-    for (std::size_t s = 0; s < sub_.size(); ++s)
-      if (!sub_[s].inner_ids.empty()) run_shard(s);
-    Status st;
-    for (const auto& sb : sub_) st.Update(sb.status);
-    return st;
-  }
-
-  if (involved > 1) {
-    dispatches_.fetch_add(1, std::memory_order_relaxed);
-    pending_.store(workers_.size(), std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      gen_.fetch_add(1, std::memory_order_release);
-    }
-    work_cv_.notify_all();
-  }
-  // The main thread always contributes one slice instead of idling.
-  run_shard(inline_shard_);
-  if (involved > 1) {
-    for (int i = 0; i < kSpinIters && pending_.load(std::memory_order_acquire) != 0; ++i)
-      cpu_relax();
-    if (pending_.load(std::memory_order_acquire) != 0) {
-      std::unique_lock<std::mutex> lk(mu_);
-      // Acquire, not relaxed: the predicate can see 0 before the last worker
-      // takes mu_, and then only this load orders the workers' slice writes
-      // before our reads of them.
-      done_cv_.wait(lk, [&] { return pending_.load(std::memory_order_acquire) == 0; });
-    }
-  }
-  Status st;
-  for (const auto& sb : sub_) st.Update(sb.status);
-  return st;
-}
-
+// A synchronous batch is a split-phase batch completed at once: every
+// involved shard's sub-frame is begun before any is completed, so K remote
+// shards overlap their round trips without a thread per shard.  Callers make
+// no synchronous call while begun batches are outstanding (AsyncBackend
+// drains first), so the batch just begun is the oldest.
 Status ShardedBackend::do_read_many(std::span<const std::uint64_t> blocks,
                                     std::span<Word> out) {
-  partition(blocks);
-  return run_batch(/*is_write=*/false, out, {});
+  OEM_RETURN_IF_ERROR(begin_batch(/*is_write=*/false, blocks, out, {}));
+  return do_complete_oldest();
 }
 
 Status ShardedBackend::do_write_many(std::span<const std::uint64_t> blocks,
                                      std::span<const Word> in) {
-  partition(blocks);
-  return run_batch(/*is_write=*/true, {}, in);
+  OEM_RETURN_IF_ERROR(begin_batch(/*is_write=*/true, blocks, {}, in));
+  return do_complete_oldest();
 }
 
 // --- split-phase forwarding ---
@@ -244,10 +119,9 @@ Status ShardedBackend::do_write_many(std::span<const std::uint64_t> blocks,
 // involved shard before any response is awaited; completion pops the oldest
 // batch and completes its shards' oldest frames.  Per-shard frame order
 // equals batch order by construction, so each shard's FIFO contract carries
-// the whole stripe's FIFO contract.  All split-phase traffic comes from one
-// thread (the AsyncBackend I/O thread) -- begin_* on a remote shard is a
-// non-blocking frame send, so the worker pool has nothing to overlap and
-// stays out of this path entirely.
+// the whole stripe's FIFO contract.  All traffic comes from one thread at a
+// time (the caller, or the AsyncBackend I/O thread): begin_* on a remote
+// shard is a non-blocking frame send, so the shards overlap without threads.
 
 std::size_t ShardedBackend::do_max_inflight() const {
   std::size_t depth = shards_[0]->max_inflight();
@@ -258,10 +132,20 @@ std::size_t ShardedBackend::do_max_inflight() const {
 
 Status ShardedBackend::do_begin_read_many(std::span<const std::uint64_t> blocks,
                                           std::span<Word> out) {
+  return begin_batch(/*is_write=*/false, blocks, out, {});
+}
+
+Status ShardedBackend::do_begin_write_many(std::span<const std::uint64_t> blocks,
+                                           std::span<const Word> in) {
+  return begin_batch(/*is_write=*/true, blocks, {}, in);
+}
+
+Status ShardedBackend::begin_batch(bool is_write, std::span<const std::uint64_t> blocks,
+                                   std::span<Word> out, std::span<const Word> in) {
   const std::size_t bw = block_words();
   partition(blocks);
   ShardFrame f;
-  f.is_write = false;
+  f.is_write = is_write;
   f.rout = out;
   Status st;
   for (std::size_t s = 0; s < sub_.size() && st.ok(); ++s) {
@@ -270,54 +154,27 @@ Status ShardedBackend::do_begin_read_many(std::span<const std::uint64_t> blocks,
     ShardFrame::Part p = acquire_part();
     p.shard = s;
     p.inner_ids.assign(sb.inner_ids.begin(), sb.inner_ids.end());
+    const std::size_t words = p.inner_ids.size() * bw;
     if (contiguous_run(sb.flat)) {
-      // Borrowed span: the shard reads straight into the caller's buffer at
-      // its completion -- `out` stays valid until our complete_oldest.
-      p.flat0 = sb.flat.empty() ? 0 : sb.flat[0];
-      st = shards_[s]->begin_read_many(p.inner_ids,
-                                       out.subspan(p.flat0 * bw, p.inner_ids.size() * bw));
-    } else {
-      p.flat.assign(sb.flat.begin(), sb.flat.end());
-      p.staging.resize(p.inner_ids.size() * bw);
-      st = shards_[s]->begin_read_many(p.inner_ids,
-                                       std::span<Word>(p.staging.data(), p.staging.size()));
-    }
-    if (st.ok()) f.parts.push_back(std::move(p));
-  }
-  if (!st.ok()) {
-    abort_partial_begin(f);
-    return st;
-  }
-  frames_.push_back(std::move(f));
-  return Status::Ok();
-}
-
-Status ShardedBackend::do_begin_write_many(std::span<const std::uint64_t> blocks,
-                                           std::span<const Word> in) {
-  const std::size_t bw = block_words();
-  partition(blocks);
-  ShardFrame f;
-  f.is_write = true;
-  Status st;
-  for (std::size_t s = 0; s < sub_.size() && st.ok(); ++s) {
-    SubBatch& sb = sub_[s];
-    if (sb.inner_ids.empty()) continue;
-    ShardFrame::Part p = acquire_part();
-    p.shard = s;
-    p.inner_ids.assign(sb.inner_ids.begin(), sb.inner_ids.end());
-    if (contiguous_run(sb.flat)) {
-      const std::size_t first = sb.flat.empty() ? 0 : sb.flat[0];
-      st = shards_[s]->begin_write_many(p.inner_ids,
-                                        in.subspan(first * bw, p.inner_ids.size() * bw));
-    } else {
+      // Borrowed span: a read lands straight in the caller's buffer at its
+      // completion (`out` stays valid until our complete_oldest).
+      const std::size_t first = sb.flat[0] * bw;
+      st = is_write ? shards_[s]->begin_write_many(p.inner_ids, in.subspan(first, words))
+                    : shards_[s]->begin_read_many(p.inner_ids, out.subspan(first, words));
+    } else if (is_write) {
       // begin_write_many consumes its input before returning (staged or
       // sent), so one reused gather scratch serves every strided sub-frame.
-      wstage_.resize(p.inner_ids.size() * bw);
+      wstage_.resize(words);
       for (std::size_t j = 0; j < sb.flat.size(); ++j)
         std::memcpy(wstage_.data() + j * bw, in.data() + sb.flat[j] * bw,
                     bw * sizeof(Word));
-      st = shards_[s]->begin_write_many(
-          p.inner_ids, std::span<const Word>(wstage_.data(), wstage_.size()));
+      st = shards_[s]->begin_write_many(p.inner_ids,
+                                        std::span<const Word>(wstage_.data(), words));
+    } else {
+      p.flat.assign(sb.flat.begin(), sb.flat.end());
+      p.staging.resize(words);
+      st = shards_[s]->begin_read_many(p.inner_ids,
+                                       std::span<Word>(p.staging.data(), words));
     }
     if (st.ok()) f.parts.push_back(std::move(p));
   }
@@ -335,7 +192,6 @@ ShardedBackend::ShardFrame::Part ShardedBackend::acquire_part() {
   part_pool_.pop_back();
   p.inner_ids.clear();
   p.flat.clear();
-  p.flat0 = 0;
   return p;
 }
 
@@ -404,9 +260,10 @@ AsyncBackend::~AsyncBackend() {
 
 void AsyncBackend::io_loop() {
   // Wire-pipelining window: how many ops may be begun-but-incomplete on the
-  // inner backend at once (1 = the classic blocking loop).
+  // inner backend at once (1 = each op completes before the next begins).
   const std::size_t cap = inner_->max_inflight();
   std::deque<Op> inflight;
+  std::vector<std::uint64_t> wsorted;  // sorted ids of the write about to begin
 
   auto wspan = [](const Op& op) {
     return op.wsrc != nullptr ? std::span<const Word>(op.wsrc, op.wlen)
@@ -469,6 +326,29 @@ void AsyncBackend::io_loop() {
     for (Op& op : inflight) recycle_op(std::move(op));
     inflight.clear();
   };
+  // One past the newest in-flight read sharing a block with the write `w`
+  // (0 = none).  A drain replays every in-flight op after the later ones may
+  // already have been applied, so a read in flight beside a later write to
+  // one of its blocks could replay and return that newer value; such a read
+  // is completed before the write begins.  The id ranges filter first.
+  auto conflicting_reads = [&](const Op& w) {
+    std::size_t n = 0;
+    wsorted.clear();
+    for (std::size_t j = 0; j < inflight.size(); ++j) {
+      const Op& r = inflight[j];
+      if (r.is_write || r.noop || r.hi < w.lo || w.hi < r.lo) continue;
+      if (wsorted.empty()) {
+        wsorted.assign(w.blocks.begin(), w.blocks.end());
+        std::sort(wsorted.begin(), wsorted.end());
+      }
+      for (std::uint64_t b : r.blocks)
+        if (std::binary_search(wsorted.begin(), wsorted.end(), b)) {
+          n = j + 1;
+          break;
+        }
+    }
+    return n;
+  };
 
   for (;;) {
     Op op;
@@ -492,13 +372,16 @@ void AsyncBackend::io_loop() {
       complete_front();  // no new work: retire the oldest round trip
       continue;
     }
-    if (cap <= 1) {
-      finish(run_with_retry(op, run_op(op)));
-      recycle_op(std::move(op));
-      continue;
-    }
     while (inflight.size() >= cap) complete_front();
     op.noop = op.blocks.empty();
+    if (!op.noop) {
+      const auto [lo, hi] = std::minmax_element(op.blocks.begin(), op.blocks.end());
+      op.lo = *lo;
+      op.hi = *hi;
+      if (op.is_write)
+        for (std::size_t n = conflicting_reads(op); n > 0 && !inflight.empty(); --n)
+          complete_front();
+    }
     op.begun = op.noop ? Status::Ok()
                : op.is_write
                    ? inner_->begin_write_many(op.blocks, wspan(op))
@@ -1559,20 +1442,18 @@ Status CachingBackend::do_complete_oldest_locked() {
 // ---------------------------------------------------------------------------
 // Factories.
 
-BackendFactory sharded_backend(BackendFactory inner, std::size_t shards,
-                               int parallel_dispatch) {
+BackendFactory sharded_backend(BackendFactory inner, std::size_t shards) {
   ShardFactory per_shard = [inner = std::move(inner)](std::size_t block_words,
                                                       std::size_t) {
     return inner ? inner(block_words) : std::make_unique<MemBackend>(block_words);
   };
-  return sharded_backend(std::move(per_shard), shards, parallel_dispatch);
+  return sharded_backend(std::move(per_shard), shards);
 }
 
-BackendFactory sharded_backend(ShardFactory inner, std::size_t shards,
-                               int parallel_dispatch) {
+BackendFactory sharded_backend(ShardFactory inner, std::size_t shards) {
   assert(shards >= 1);
-  return [inner = std::move(inner), shards,
-          parallel_dispatch](std::size_t block_words) -> std::unique_ptr<StorageBackend> {
+  return [inner = std::move(inner), shards](std::size_t block_words)
+             -> std::unique_ptr<StorageBackend> {
     if (shards == 1)
       return inner ? inner(block_words, 0) : std::make_unique<MemBackend>(block_words);
     std::vector<std::unique_ptr<StorageBackend>> v;
@@ -1580,10 +1461,7 @@ BackendFactory sharded_backend(ShardFactory inner, std::size_t shards,
     for (std::size_t s = 0; s < shards; ++s)
       v.push_back(inner ? inner(block_words, s)
                         : std::make_unique<MemBackend>(block_words));
-    const bool parallel = parallel_dispatch < 0
-                              ? ShardedBackend::default_parallel_dispatch()
-                              : parallel_dispatch != 0;
-    return std::make_unique<ShardedBackend>(block_words, std::move(v), parallel);
+    return std::make_unique<ShardedBackend>(block_words, std::move(v));
   };
 }
 

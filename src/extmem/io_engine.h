@@ -6,18 +6,19 @@
 // free leverage on wall-clock.  Two composable decorators exploit that:
 //
 //   * ShardedBackend -- stripes blocks round-robin over K inner backends
-//     (block b lives on shard b mod K at inner index b div K) and dispatches
-//     the per-shard slices of a read_many/write_many batch to persistent
-//     worker threads, so K stores transfer in parallel.  When the shards themselves support split-phase I/O
-//     (max_inflight() > 1 -- K RemoteBackends, one connection each), the
-//     split-phase face is forwarded: a begun batch is split into per-shard
-//     sub-frames begun on ALL shards back to back, and completed FIFO per
-//     shard, so striping and pipeline depth MULTIPLY -- a sharded(K) stack
-//     over remote stores keeps K x depth frames on the wire instead of
-//     collapsing the pipeline to one batch round trip at a time.  Per-shard
-//     sub-frames whose slice of the caller's buffer is one contiguous run
-//     borrow that span end-to-end (no staging memcpy); only strided slices
-//     pay a gather/scatter copy.
+//     (block b lives on shard b mod K at inner index b div K) and splits
+//     every batch into per-shard sub-frames, begun on ALL involved shards
+//     back to back before any is completed.  That one dispatch engine serves
+//     both faces: a synchronous read_many/write_many begins its batch and
+//     completes it at once, so K remote shards overlap their round trips
+//     without a thread per shard; when the shards support split-phase I/O
+//     (max_inflight() > 1 -- K RemoteBackends, one connection each), begun
+//     batches are completed FIFO per shard, so striping and pipeline depth
+//     MULTIPLY -- a sharded(K) stack over remote stores keeps K x depth
+//     frames on the wire instead of collapsing the pipeline to one batch
+//     round trip at a time.  Per-shard sub-frames whose slice of the
+//     caller's buffer is one contiguous run borrow that span end-to-end (no
+//     staging memcpy); only strided slices pay a gather/scatter copy.
 //
 //   * CachingBackend -- a write-back block cache decorator (scan-resistant
 //     by default, see CachePolicy).  Writes are
@@ -94,18 +95,8 @@ namespace oem {
 class ShardedBackend : public StorageBackend {
  public:
   /// Takes ownership of `shards` (all with the same block_words).
-  /// `parallel_dispatch`: use per-shard worker threads for multi-shard
-  /// batches.  Defaults to hardware_concurrency() > 1 -- on a single
-  /// hardware thread the wake cascade costs more than shard-serial
-  /// execution saves, so sub-batches run inline instead (identical
-  /// semantics, identical trace).
   ShardedBackend(std::size_t block_words,
-                 std::vector<std::unique_ptr<StorageBackend>> shards,
-                 bool parallel_dispatch = default_parallel_dispatch());
-  static bool default_parallel_dispatch() {
-    return std::thread::hardware_concurrency() > 1;
-  }
-  ~ShardedBackend() override;
+                 std::vector<std::unique_ptr<StorageBackend>> shards);
   const char* name() const override { return "sharded"; }
   Status health() const override;
 
@@ -114,16 +105,13 @@ class ShardedBackend : public StorageBackend {
   const StorageBackend& shard(std::size_t s) const { return *shards_[s]; }
   /// Flush every shard; first error wins.
   Status flush() override;
-  /// Batches dispatched to the worker pool (vs. run inline because only one
-  /// shard was involved); shows the parallel path is actually exercised.
-  std::uint64_t parallel_dispatches() const {
-    return dispatches_.load(std::memory_order_relaxed);
-  }
 
  protected:
   Status do_resize(std::uint64_t nblocks) override;
   Status do_read(std::uint64_t block, std::span<Word> out) override;
   Status do_write(std::uint64_t block, std::span<const Word> in) override;
+  /// Begin the batch on every involved shard, then complete it.  Not to be
+  /// mixed with outstanding begun batches (the batch must be the oldest).
   Status do_read_many(std::span<const std::uint64_t> blocks, std::span<Word> out) override;
   Status do_write_many(std::span<const std::uint64_t> blocks,
                        std::span<const Word> in) override;
@@ -145,8 +133,6 @@ class ShardedBackend : public StorageBackend {
   struct SubBatch {
     std::vector<std::uint64_t> inner_ids;  // block ids on the shard
     std::vector<std::size_t> flat;         // position in the caller's batch
-    ArenaBuffer staging;                   // contiguous per-shard transfer buffer
-    Status status;
   };
 
   /// One outstanding split-phase batch: its per-shard sub-frames, in the
@@ -158,10 +144,8 @@ class ShardedBackend : public StorageBackend {
     struct Part {
       std::size_t shard = 0;
       std::vector<std::uint64_t> inner_ids;
-      std::vector<std::size_t> flat;  // caller positions; empty for a
-                                      // contiguous run starting at flat0
-      std::size_t flat0 = 0;
-      ArenaBuffer staging;            // read landing zone for strided parts
+      std::vector<std::size_t> flat;  // strided read: caller positions
+      ArenaBuffer staging;            // strided read: landing zone
     };
     bool is_write = false;
     std::span<Word> rout;  // caller read dest; valid until complete_oldest
@@ -169,9 +153,10 @@ class ShardedBackend : public StorageBackend {
   };
 
   void partition(std::span<const std::uint64_t> blocks);
-  Status run_batch(bool is_write, std::span<Word> rout, std::span<const Word> win);
-  void run_shard(std::size_t s);
-  void worker_loop(std::size_t s);
+  /// Begins one sub-frame per involved shard (reads land in `out`, writes
+  /// come from `in`) and queues the batch in frames_.
+  Status begin_batch(bool is_write, std::span<const std::uint64_t> blocks,
+                     std::span<Word> out, std::span<const Word> in);
 
   std::vector<std::unique_ptr<StorageBackend>> shards_;
   std::vector<SubBatch> sub_;
@@ -193,22 +178,6 @@ class ShardedBackend : public StorageBackend {
   std::deque<Status> completed_early_;  // statuses of batches retired by an abort
   std::vector<ShardFrame::Part> part_pool_;  // retired parts, capacity retained
   ArenaBuffer wstage_;             // strided write gather scratch (consumed at begin)
-
-  // Dispatch state: the main thread publishes a batch under mu_ and bumps
-  // gen_; workers with a non-empty slice run it and decrement pending_.
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::atomic<std::uint64_t> gen_{0};
-  std::atomic<std::size_t> pending_{0};
-  bool stop_ = false;             // guarded by mu_
-  bool job_is_write_ = false;     // published before gen_ bump
-  std::span<Word> job_rout_;
-  std::span<const Word> job_win_;
-  std::size_t inline_shard_ = 0;  // slice the main thread runs itself
-  bool parallel_ = true;
-  std::atomic<std::uint64_t> dispatches_{0};
-  std::vector<std::thread> workers_;
 };
 
 // ---------------------------------------------------------------------------
@@ -289,9 +258,10 @@ class AsyncBackend : public StorageBackend {
     std::size_t wlen = 0;
     Word* rdest = nullptr;          // reads: caller-owned destination
     std::size_t rlen = 0;
-    // Wire-pipelined execution state (inner max_inflight() > 1).
+    // Split-phase execution state.
     bool noop = false;  // empty batch: completes without touching the inner
     Status begun;       // begin_* result; non-ok ops skip complete_oldest
+    std::uint64_t lo = 0, hi = 0;  // smallest and largest block id
   };
 
   void io_loop();
@@ -367,8 +337,8 @@ class FaultyBackend : public StorageBackend {
   Status flush() override { return inner_->flush(); }
 
   /// Data-path ops observed and faults injected (counting every failed
-  /// attempt).  Atomic: a FaultyBackend under an AsyncBackend or a shard
-  /// worker is driven off-thread while the main thread reads the counters.
+  /// attempt).  Atomic: a FaultyBackend under an AsyncBackend is driven by
+  /// its I/O thread while the main thread reads the counters.
   std::uint64_t ops() const { return ops_.load(std::memory_order_relaxed); }
   std::uint64_t injected_faults() const {
     return faults_.load(std::memory_order_relaxed);
@@ -461,8 +431,8 @@ class TamperingBackend : public StorageBackend {
   Status flush() override { return inner_->flush(); }
 
   /// Data-path ops observed / blocks mutated + writes dropped.  Atomic: a
-  /// TamperingBackend under an AsyncBackend or a shard worker is driven
-  /// off-thread while the main thread reads the counters.
+  /// TamperingBackend under an AsyncBackend is driven by its I/O thread
+  /// while the main thread reads the counters.
   std::uint64_t ops() const { return ops_.load(std::memory_order_relaxed); }
   std::uint64_t tampered() const { return tampered_.load(std::memory_order_relaxed); }
 
@@ -921,13 +891,9 @@ using ShardFactory =
 /// Stripe over `shards` instances produced by `inner` (null = mem).  An
 /// explicit-path file backend must NOT be sharded through this overload (all
 /// shards would open the same file); use the ShardFactory overload or
-/// Session::Builder, which derives per-shard paths.  `parallel_dispatch` < 0
-/// means the hardware-concurrency default; tests pass 1 to force the worker
-/// pool on any host.
-BackendFactory sharded_backend(BackendFactory inner, std::size_t shards,
-                               int parallel_dispatch = -1);
-BackendFactory sharded_backend(ShardFactory inner, std::size_t shards,
-                               int parallel_dispatch = -1);
+/// Session::Builder, which derives per-shard paths.
+BackendFactory sharded_backend(BackendFactory inner, std::size_t shards);
+BackendFactory sharded_backend(ShardFactory inner, std::size_t shards);
 
 /// Wrap the backend produced by `inner` (null = mem) in an AsyncBackend.
 BackendFactory async_backend(BackendFactory inner);

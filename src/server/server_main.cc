@@ -16,10 +16,11 @@
 // --backend=file persists each store in its own file derived from
 // --file-path (PATH.store<id>, plus .shard<s> with --shards > 1); with no
 // --file-path the stores live in temp files.  --shards=K stripes every
-// store over K inner stores server-side (a ShardedBackend per store), so a
-// single-connection client still gets K-way file parallelism on the server.
-// --threads picks the worker-pool size (0 = hardware concurrency, 1 =
-// serial -- the load bench's baseline).  The delay knobs mirror
+// store over K inner stores server-side (a ShardedBackend per store).  The
+// shards stripe only: a batch is begun on every shard before any completes,
+// which overlaps nothing on a blocking file store (it does with
+// --engine=uring).  --threads gives the parallelism: it picks the worker-pool
+// size (0 = hardware concurrency, 1 = serial -- the load bench's baseline).  The delay knobs mirror
 // RemoteServerOptions: response-delay is propagation (never blocks later
 // frames), service-delay occupies a worker per data frame.
 //

@@ -1,6 +1,7 @@
-// IoEngine suite: ShardedBackend striping/parallel dispatch, AsyncBackend
-// FIFO submission semantics, and the tentpole guarantee -- for every
-// algorithm the recorded per-block trace is byte-identical across
+// IoEngine suite: ShardedBackend striping and begin-all-then-complete
+// dispatch, AsyncBackend FIFO submission semantics and drop replay, and the
+// tentpole guarantee -- for every algorithm the recorded per-block trace is
+// byte-identical across
 // {mem, sharded(4), sharded(4)+prefetch, faulty(seed)+retry, remote
 // combinations including split-phase sharded depth-4 and the write-back
 // cache}: parallel placement, overlapped dispatch, striping x depth wire
@@ -8,12 +9,15 @@
 // observes.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/session.h"
@@ -61,12 +65,9 @@ TEST(ShardedBackend, StripesRoundRobinAcrossShards) {
 
 TEST(ShardedBackend, BatchesDispatchToWorkersInParallel) {
   constexpr std::size_t kBw = 4;
-  // Force the worker pool on so the parallel path is exercised (and raced
-  // under TSan) even on single-core CI hosts.
   // Each shard is test::counted_mem(): its ops() counts the data calls that
   // reach that shard.
-  auto factory = sharded_backend(test::counted_mem(), 4,
-                                 /*parallel_dispatch=*/1);
+  auto factory = sharded_backend(test::counted_mem(), 4);
   auto backend = factory(kBw);
   auto* sharded = dynamic_cast<ShardedBackend*>(backend.get());
   ASSERT_NE(sharded, nullptr);
@@ -77,8 +78,6 @@ TEST(ShardedBackend, BatchesDispatchToWorkersInParallel) {
   std::vector<Word> buf(ids.size() * kBw, 7);
   ASSERT_TRUE(backend->write_many(ids, buf).ok());
   ASSERT_TRUE(backend->read_many(ids, buf).ok());
-  EXPECT_EQ(sharded->parallel_dispatches(), 2u)
-      << "a multi-shard batch must take the worker-pool path";
 
   // Each shard saw exactly one op per batch: the batch is split into one
   // per-shard slice, not replayed block by block.
@@ -88,21 +87,20 @@ TEST(ShardedBackend, BatchesDispatchToWorkersInParallel) {
     EXPECT_EQ(counter->ops(), 2u) << "shard " << s;
   }
 
-  // A single-shard batch runs inline (no dispatch overhead).
+  // A single-shard batch reaches only its shard.
   const std::vector<std::uint64_t> one_shard = {0, 4, 8};
   std::vector<Word> small(one_shard.size() * kBw);
   ASSERT_TRUE(backend->read_many(one_shard, small).ok());
-  EXPECT_EQ(sharded->parallel_dispatches(), 2u);
+  for (std::size_t s = 0; s < 4; ++s)
+    EXPECT_EQ(dynamic_cast<FaultyBackend&>(sharded->shard(s)).ops(), s == 0 ? 3u : 2u)
+        << "shard " << s;
 }
 
 TEST(ShardedBackend, AlternatingPartialBatchesStressTheWorkerPool) {
-  // Regression: a worker woken with an EMPTY slice used to skip the
-  // completion count, so run_batch could return while the worker was still
-  // between "observe generation" and "read my slice" -- racing the next
-  // batch's partition() and occasionally running a slice twice (deadlock).
-  // Alternate batches that touch disjoint shard subsets back-to-back.
+  // Alternate batches that touch disjoint shard subsets back-to-back: a
+  // shard left out of one batch must not carry a stale slice into the next.
   constexpr std::size_t kBw = 2;
-  auto backend = sharded_backend(mem_backend(), 4, /*parallel_dispatch=*/1)(kBw);
+  auto backend = sharded_backend(mem_backend(), 4)(kBw);
   ASSERT_TRUE(backend->resize(64).ok());
   std::vector<Word> buf(2 * kBw);
   for (int iter = 0; iter < 5000; ++iter) {
@@ -129,6 +127,85 @@ TEST(ShardedBackend, DuplicateIdsInOneBatchKeepSequentialSemantics) {
   std::vector<Word> out(kBw);
   ASSERT_TRUE(backend->read(5, out).ok());
   EXPECT_EQ(out, (std::vector<Word>{3, 3}));
+}
+
+/// A split-phase store over mem for dispatch tests.  Every op is applied at
+/// begin; begins and completions are logged as "b<tag>" / "c<tag>".  While
+/// `hold_writes` is set, a write waits inside begin; `lose_next_read` loses
+/// the next read response (its completion fails kIo).
+class SplitFake : public StorageBackend {
+ public:
+  SplitFake(std::size_t block_words, std::string tag, std::vector<std::string>* log)
+      : StorageBackend(block_words), tag_(std::move(tag)), log_(log), mem_(block_words) {}
+  const char* name() const override { return "split_fake"; }
+
+  std::atomic<bool> hold_writes{false};
+  std::atomic<bool> lose_next_read{false};
+
+ protected:
+  Status do_resize(std::uint64_t nblocks) override { return mem_.resize(nblocks); }
+  Status do_read(std::uint64_t block, std::span<Word> out) override {
+    return mem_.read(block, out);
+  }
+  Status do_write(std::uint64_t block, std::span<const Word> in) override {
+    return mem_.write(block, in);
+  }
+  std::size_t do_max_inflight() const override { return 8; }
+  Status do_begin_read_many(std::span<const std::uint64_t> blocks,
+                            std::span<Word> out) override {
+    note("b");
+    pending_reads_.push_back(true);
+    return mem_.read_many(blocks, out);
+  }
+  Status do_begin_write_many(std::span<const std::uint64_t> blocks,
+                             std::span<const Word> in) override {
+    while (hold_writes.load()) std::this_thread::yield();
+    note("b");
+    pending_reads_.push_back(false);
+    return mem_.write_many(blocks, in);
+  }
+  Status do_complete_oldest() override {
+    if (pending_reads_.empty()) return Status::Ok();
+    const bool is_read = pending_reads_.front();
+    pending_reads_.pop_front();
+    note("c");
+    if (is_read && lose_next_read.exchange(false)) return Status::Io("response lost");
+    return Status::Ok();
+  }
+
+ private:
+  void note(const char* event) {
+    if (log_ != nullptr) log_->push_back(event + tag_);
+  }
+
+  std::string tag_;
+  std::vector<std::string>* log_;
+  MemBackend mem_;
+  std::deque<bool> pending_reads_;  // one entry per begun op: is it a read?
+};
+
+TEST(ShardedBackend, SyncBatchBeginsEveryShardBeforeCompletingAny) {
+  // A synchronous batch is dispatched like a split-phase one: one sub-frame
+  // per shard, all begun before any completes, so remote shards overlap
+  // their round trips without a thread per shard.
+  constexpr std::size_t kBw = 2;
+  std::vector<std::string> log;
+  ShardFactory logged = [&log](std::size_t bw, std::size_t s) {
+    return std::unique_ptr<StorageBackend>(new SplitFake(bw, std::to_string(s), &log));
+  };
+  auto backend = sharded_backend(logged, 4)(kBw);
+  ASSERT_TRUE(backend->resize(16).ok());
+  std::vector<std::uint64_t> ids(8);
+  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = i;
+  std::vector<Word> buf(ids.size() * kBw, 5);
+  const std::vector<std::string> want = {"b0", "b1", "b2", "b3", "c0", "c1", "c2", "c3"};
+  ASSERT_TRUE(backend->write_many(ids, buf).ok());
+  EXPECT_EQ(log, want) << "write_many";
+  log.clear();
+  buf.assign(buf.size(), 0);
+  ASSERT_TRUE(backend->read_many(ids, buf).ok());
+  EXPECT_EQ(log, want) << "read_many";
+  EXPECT_EQ(buf, std::vector<Word>(ids.size() * kBw, 5));
 }
 
 // ---------------------------------------------------------------------------
@@ -167,6 +244,34 @@ TEST(AsyncBackend, SynchronousOpsDrainTheQueueFirst) {
   ASSERT_TRUE(backend_owner->read(1, out).ok());
   EXPECT_EQ(out, (std::vector<Word>{63, 63}));
   ASSERT_TRUE(async->drain().ok());
+}
+
+TEST(AsyncBackend, DroppedReadNeverReplaysPastALaterWrite) {
+  // Regression: a lost read response drains the window and replays it in
+  // order, but a later in-flight write to the same block may already have
+  // been applied, so the replayed read returned the newer value.  The fake
+  // applies ops at begin and loses the first read response; the held first
+  // write keeps the I/O thread until read(0) and write(0) are both queued.
+  constexpr std::size_t kBw = 2;
+  auto fake_owner = std::make_unique<SplitFake>(kBw, "", nullptr);
+  SplitFake* fake = fake_owner.get();
+  AsyncBackend async(std::move(fake_owner));
+  async.set_retry_attempts(4);
+  ASSERT_TRUE(async.resize(2).ok());
+  ASSERT_TRUE(async.write(0, std::vector<Word>{100, 100}).ok());
+  fake->hold_writes = true;
+  fake->lose_next_read = true;
+  async.submit_write_many({1}, {1, 1});
+  std::vector<Word> r(kBw);
+  const AsyncBackend::Ticket t = async.submit_read_many(std::vector<std::uint64_t>{0}, r);
+  async.submit_write_many({0}, {104, 104});
+  fake->hold_writes = false;
+  ASSERT_TRUE(async.wait(t).ok());
+  EXPECT_EQ(r, (std::vector<Word>{100, 100})) << "read 0 saw a later write";
+  ASSERT_TRUE(async.drain().ok());
+  std::vector<Word> out(kBw);
+  ASSERT_TRUE(async.read(0, out).ok());
+  EXPECT_EQ(out, (std::vector<Word>{104, 104}));
 }
 
 // ---------------------------------------------------------------------------
