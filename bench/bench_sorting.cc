@@ -96,7 +96,6 @@ void e8b() {
   const double c2 = g_e8a.det_c2 > 0 ? g_e8a.det_c2 : 1.5;
   Table t({"n (blocks)", "levels", "rand I/O/blk", "det I/O/blk", "det/rand"});
   for (double lg2 = 20; lg2 <= 100; lg2 += 20) {
-    const double n = std::pow(2.0, lg2);
     const double levels = std::max(1.0, (lg2 - 11.0) * std::log(2.0) / std::log(q1));
     const double rand_pb = c1 * levels;
     const double lgnm = lg2 - std::log2(m / 2.0);

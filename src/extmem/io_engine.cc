@@ -817,7 +817,9 @@ SharedCacheHandle make_shared_cache(std::size_t capacity_blocks,
 CachingBackend::CachingBackend(std::unique_ptr<StorageBackend> inner,
                                std::size_t capacity_blocks, CachePolicy policy)
     : CachingBackend(std::move(inner),
-                     std::make_shared<CacheCore>(capacity_blocks, policy)) {}
+                     std::make_shared<CacheCore>(capacity_blocks, policy)) {
+  write_allocate_ = true;
+}
 
 CachingBackend::CachingBackend(std::unique_ptr<StorageBackend> inner,
                                SharedCacheHandle core)
@@ -976,6 +978,7 @@ CachingBackend::Entry* CachingBackend::admit(std::uint64_t block, std::size_t sl
   e.owner = this;
   e.slot = slot;
   c.link_front(e, c.probation_);
+  hwm_ = std::max(hwm_, block + 1);
   return &e;
 }
 
@@ -1063,12 +1066,20 @@ Status CachingBackend::do_resize(std::uint64_t nblocks) {
   while (!pending_.empty()) OEM_RETURN_IF_ERROR(do_complete_oldest_locked());
   // Shrunk-away blocks are gone by contract -- dirty included -- so a later
   // re-grow reads them as zero, exactly like the store below.  Only this
-  // view's namespace is affected.
+  // view's namespace is affected, and only ids below hwm_ can be resident:
+  // look those up by key unless walking the residents is cheaper.
   CacheCore& c = *core_;
-  std::vector<std::uint64_t> doomed;
-  for (const auto& [key, e] : c.entries_)
-    if (e.owner == this && block_of(key) >= nblocks) doomed.push_back(key);
-  for (std::uint64_t k : doomed) erase_entry(k);
+  if (nblocks < hwm_) {
+    if (hwm_ - nblocks <= c.entries_.size()) {
+      for (std::uint64_t b = nblocks; b < hwm_; ++b) erase_entry(key_of(b));
+    } else {
+      std::vector<std::uint64_t> doomed;
+      for (const auto& [key, e] : c.entries_)
+        if (e.owner == this && block_of(key) >= nblocks) doomed.push_back(key);
+      for (std::uint64_t k : doomed) erase_entry(k);
+    }
+    hwm_ = nblocks;
+  }
   for (Stream& s : streams_) s = Stream{};
   return inner_->resize(nblocks);
 }
@@ -1275,8 +1286,11 @@ Status CachingBackend::do_write_many(std::span<const std::uint64_t> blocks,
 
 // Split-phase face: cached blocks are served/absorbed at begin time and the
 // remainder forwards as at most one inner frame per begun batch.  The BEGIN
-// half never changes residency, so a frame begun against an uncached block
-// stays consistent; residency is granted at a read's successful COMPLETION
+// half never evicts; the one residency change it makes is a private core's
+// write taking free slots for its uncached blocks, after its write-around
+// frame (if any) was begun.  A read frame begun earlier against such a block
+// stays consistent: its completion finds the block resident and grants
+// nothing.  Otherwise residency is granted at a read's successful COMPLETION
 // (the bytes are in hand -- caching them costs no inner op), with two guards
 // that keep the in-flight frames coherent:
 //   * a block targeted by a still-pending write-AROUND frame is skipped (the
@@ -1332,15 +1346,36 @@ Status CachingBackend::do_begin_write_many(std::span<const std::uint64_t> blocks
   CacheCore& c = *core_;
   const std::size_t bw = block_words();
   PendingOp op;
+  // Write-allocate: the first `free` distinct uncached ids take free slots
+  // (their repeats in the batch follow them into the cache, so the last
+  // write wins); the rest are written around.  With no free slot left this
+  // is the plain write-around scan.
+  const std::size_t free = write_allocate_ ? c.free_slots_.size() : 0;
+  std::vector<std::uint64_t> alloc_ids;
+  std::vector<std::size_t> alloc_pos;
+  std::uint64_t alloc_max = 0;
   std::vector<std::uint64_t> around_ids;
   std::vector<std::size_t> around_pos;
-  for (std::size_t i = 0; i < blocks.size(); ++i)
-    if (find(blocks[i]) == nullptr) {
-      // Write-around: uncached blocks go to the store below as one begun
-      // frame (no allocation in the split-phase path -- see above).
-      around_ids.push_back(blocks[i]);
-      around_pos.push_back(i);
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    if (find(blocks[i]) != nullptr) continue;
+    if (free > 0) {
+      // Ascending batches skip the search: an id above every allocated one
+      // cannot repeat one.
+      if (!alloc_ids.empty() && blocks[i] <= alloc_max &&
+          std::find(alloc_ids.begin(), alloc_ids.end(), blocks[i]) != alloc_ids.end())
+        continue;
+      if (alloc_ids.size() < free) {
+        alloc_ids.push_back(blocks[i]);
+        alloc_pos.push_back(i);
+        alloc_max = std::max(alloc_max, blocks[i]);
+        continue;
+      }
     }
+    // Write-around: uncached blocks go to the store below as one begun
+    // frame (a begin never evicts -- see above).
+    around_ids.push_back(blocks[i]);
+    around_pos.push_back(i);
+  }
   // The failable part first (atomic-by-rejection, like the sync path): only
   // once the write-around frame is on the wire does any of this batch's
   // data enter the cache, so a refused begin absorbs nothing.
@@ -1365,12 +1400,20 @@ Status CachingBackend::do_begin_write_many(std::span<const std::uint64_t> blocks
     for (std::uint64_t b : around_ids) ++around_in_flight_[b];
     op.miss_ids = std::move(around_ids);
   }
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
+  for (std::size_t i = 0, k = 0; i < blocks.size(); ++i) {
     Entry* e = find(blocks[i]);
-    if (e == nullptr) continue;  // written around above
+    const bool fresh = e == nullptr;
+    if (fresh) {
+      if (k == alloc_pos.size() || alloc_pos[k] != i) continue;  // written around
+      ++k;
+      // Admitted like a synchronous write's fresh block: probation front,
+      // no touch.
+      e = admit(blocks[i], c.free_slots_.back());
+      c.free_slots_.pop_back();
+    }
     std::memcpy(slot_data(e->slot), in.data() + i * bw, bw * sizeof(Word));
     c.mark_dirty(*e);
-    touch(*e);
+    if (!fresh) touch(*e);
     ++op.absorbed;
   }
   pending_.push_back(std::move(op));

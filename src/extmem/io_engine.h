@@ -633,11 +633,17 @@ SharedCacheHandle make_shared_cache(std::size_t capacity_blocks,
 /// split-phase face is forwarded (max_inflight of the inner store), keeping
 /// the wire pipelining of a remote stack: begun batches serve/absorb their
 /// cached blocks at begin time and forward the remainder (read misses,
-/// writes to uncached blocks) as one in-flight inner frame.  Begins never
-/// change residency, so recovery-by-replay stays trivial; a read's
-/// completion grants its misses residency when that needs no inner I/O (a
-/// free slot or the coldest clean resident as victim) and declines it
-/// otherwise -- a constant amount of work per block either way.
+/// writes to uncached blocks) as one in-flight inner frame.  Begins admit
+/// written blocks into free slots only: on a private core an uncached block
+/// of a begun write takes a free slot while one is left (probation front,
+/// dirty, like a synchronous write's fresh block) and only the blocks left
+/// over are written around; a shared core always writes around.  A begin
+/// never evicts and never does inner I/O beyond its one frame, so
+/// recovery-by-replay stays trivial; a read's completion grants its misses
+/// residency when that needs no inner I/O (a free slot or the coldest clean
+/// resident as victim) and declines it otherwise -- a constant amount of
+/// work per block either way.  The write-allocate decision reads block ids
+/// and the free-slot count only.
 ///
 /// Sequential readahead (synchronous path only): every single-block sync
 /// read advances one slot of a 4-slot table of recent stream positions (the
@@ -733,6 +739,8 @@ class CachingBackend : public StorageBackend {
  protected:
   /// Shrink drops cached blocks past the new capacity (dirty included: a
   /// shrunk-away block is gone by contract); surviving entries stay valid.
+  /// A grow costs nothing; a shrink costs the smaller of the id range it
+  /// cuts below the view's high-water mark and the core's resident count.
   Status do_resize(std::uint64_t nblocks) override;
   Status do_read(std::uint64_t block, std::span<Word> out) override;
   Status do_write(std::uint64_t block, std::span<const Word> in) override;
@@ -757,15 +765,16 @@ class CachingBackend : public StorageBackend {
     std::uint64_t used = 0;  // stream_clock_ at its last advance; 0 = empty
   };
 
-  /// One begun split-phase batch.  The BEGIN half never mutates cache
-  /// residency (no allocation, no eviction): hits are served/absorbed at
-  /// begin, and the remainder forwards as AT MOST ONE inner frame, so a
-  /// failed begin leaves nothing to unwind and the AsyncBackend's
-  /// drain-and-replay recovery (which re-runs the op through the
-  /// synchronous path) stays idempotent.  Residency IS granted at a read's
-  /// successful COMPLETION (see do_complete_oldest): the fetched bytes are
-  /// in hand, so caching them costs no inner op -- a split-phase re-touch
-  /// stream hits exactly like the synchronous path's.
+  /// One begun split-phase batch.  The BEGIN half never evicts: hits are
+  /// served/absorbed at begin, a private core's write admits uncached
+  /// blocks into free slots, and the remainder forwards as AT MOST ONE
+  /// inner frame, begun before anything enters the cache, so a failed begin
+  /// leaves nothing to unwind and the AsyncBackend's drain-and-replay
+  /// recovery (which re-runs the op through the synchronous path) stays
+  /// idempotent.  A read's misses are granted residency at its successful
+  /// COMPLETION (see do_complete_oldest): the fetched bytes are in hand, so
+  /// caching them costs no inner op -- a split-phase re-touch stream hits
+  /// exactly like the synchronous path's.
   struct PendingOp {
     bool is_read = false;
     bool has_frame = false;                  // one inner frame to complete
@@ -822,7 +831,8 @@ class CachingBackend : public StorageBackend {
   /// Slot for `block` (free or evicted); inserts this view's entry (clean,
   /// probation-front: admission to the protected segment takes a re-touch).
   Result<Entry*> insert(std::uint64_t block);
-  /// Indexes this view's `block` in `slot` as a clean probation-front entry.
+  /// Indexes this view's `block` in `slot` as a clean probation-front entry
+  /// (and raises hwm_ past it).
   Entry* admit(std::uint64_t block, std::size_t slot);
   /// A slot that costs no inner I/O: a free one, else the coldest clean
   /// probation resident's, else the coldest clean protected resident's.
@@ -856,6 +866,14 @@ class CachingBackend : public StorageBackend {
   std::unique_ptr<StorageBackend> inner_;
   SharedCacheHandle core_;
   std::uint64_t view_id_ = 0;
+  /// Begun writes take free slots (private core only: on a shared core a
+  /// view's in-flight frames make its dirty blocks ineligible victims, so
+  /// filling free slots with them could starve another session's eviction).
+  bool write_allocate_ = false;
+  /// One past the highest block id this view ever admitted, lowered by a
+  /// shrink: do_resize drops [nblocks, hwm_) by key when that is cheaper
+  /// than walking the residents.
+  std::uint64_t hwm_ = 0;
   Status init_status_;
   std::deque<PendingOp> pending_;   // this view's begun ops (guarded by core mu)
   /// Counted set of the block ids targeted by pending_'s write-around

@@ -1,7 +1,8 @@
 // CachingBackend suite: write-back semantics (hits absorb inner ops,
 // writes reach the store below only on eviction or flush, dirty neighbors
 // coalesce into one batched write-back), split-phase forwarding over a
-// remote store, and the Session::Builder::cache validation satellites.
+// remote store, begun writes taking free slots, and the
+// Session::Builder::cache validation satellites.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -153,6 +154,53 @@ TEST(CachingBackend, ShrinkDropsCachedBlocksSoRegrowReadsZero) {
       << "a shrunk-away dirty block resurfaced from the cache";
 }
 
+TEST(CachingBackend, SharedCoreShrinkDropsOnlyTheShrunkViewsBlocks) {
+  // Two views with many residents on one core.  A's first shrink drops its
+  // ids past the new end by key (the range below its high-water mark is
+  // narrower than the resident set); its second, after a write far out,
+  // walks the residents.  Either way A's dropped blocks read zero after a
+  // regrow, its kept blocks keep their bytes, and B's blocks -- the same
+  // ids in another namespace -- stay resident and dirty.
+  auto core = make_shared_cache(256);
+  CachingBackend a(mem_backend()(kBw), core);
+  CachingBackend b(test::counted_mem()(kBw), core);
+  auto* b_ops = dynamic_cast<FaultyBackend*>(&b.inner());
+  ASSERT_TRUE(a.resize(4096).ok());
+  ASSERT_TRUE(b.resize(64).ok());
+  for (std::uint64_t blk = 0; blk < 48; ++blk)
+    ASSERT_TRUE(a.write(blk, std::vector<Word>(kBw, 100 + blk)).ok());
+  for (std::uint64_t blk = 0; blk < 64; ++blk)
+    ASSERT_TRUE(b.write(blk, std::vector<Word>(kBw, 500 + blk)).ok());
+  auto expect_a = [&a](std::uint64_t kept, std::uint64_t end) {
+    std::vector<Word> out(kBw);
+    for (std::uint64_t blk = 0; blk < end; ++blk) {
+      ASSERT_TRUE(a.read(blk, out).ok());
+      EXPECT_EQ(out, std::vector<Word>(kBw, blk < kept ? 100 + blk : 0)) << "block " << blk;
+    }
+  };
+
+  ASSERT_TRUE(a.resize(30).ok());  // by key: [30, 48)
+  EXPECT_EQ(core->cached_blocks(), 30u + 64u);
+  ASSERT_TRUE(a.resize(4096).ok());
+  expect_a(30, 48);
+
+  ASSERT_TRUE(a.write(4000, std::vector<Word>(kBw, 9)).ok());
+  ASSERT_TRUE(a.resize(10).ok());  // by walk: [10, 4001) is wider than the residents
+  EXPECT_EQ(core->cached_blocks(), 10u + 64u);
+  ASSERT_TRUE(a.resize(4096).ok());
+  expect_a(10, 48);
+  std::vector<Word> out(kBw, 1);
+  ASSERT_TRUE(a.read(4000, out).ok());
+  EXPECT_EQ(out, std::vector<Word>(kBw, 0));
+
+  for (std::uint64_t blk = 0; blk < 64; ++blk) {
+    ASSERT_TRUE(b.read(blk, out).ok());
+    EXPECT_EQ(out, std::vector<Word>(kBw, 500 + blk)) << "B's block " << blk;
+  }
+  EXPECT_EQ(b.stats().hits, 64u);
+  EXPECT_EQ(b_ops->ops(), 0u) << "B's blocks left the cache";
+}
+
 TEST(CachingBackend, CapacityZeroIsRejectedAtHealth) {
   auto backend = caching_backend(mem_backend(), 0)(kBw);
   EXPECT_EQ(backend->health().code(), StatusCode::kInvalidArgument);
@@ -167,7 +215,9 @@ TEST(CachingBackend, SplitPhaseForwardsMissesAndAbsorbsHitsOverRemote) {
   ropts.host = server.host();
   ropts.port = server.port();
   ropts.store_id = 1;
-  auto cache_owner = caching_backend(remote_backend(ropts), 8)(kBw);
+  // Six slots: the warm-up and the cold reads below fill the cache, so the
+  // begun write of uncached blocks finds no free slot and goes around.
+  auto cache_owner = caching_backend(remote_backend(ropts), 6)(kBw);
   auto* cache = dynamic_cast<CachingBackend*>(cache_owner.get());
   ASSERT_NE(cache, nullptr);
   EXPECT_GT(cache->max_inflight(), 1u)
@@ -191,6 +241,7 @@ TEST(CachingBackend, SplitPhaseForwardsMissesAndAbsorbsHitsOverRemote) {
   ASSERT_TRUE(cache_owner->complete_oldest().ok());
   ASSERT_TRUE(cache_owner->complete_oldest().ok());
   EXPECT_EQ(cold_out, std::vector<Word>(cold.size() * kBw, 0));  // fresh = zero
+  ASSERT_EQ(cache->cached_blocks(), 6u) << "the cold misses fill the cache";
 
   // Split-phase writes: cached blocks absorbed, uncached written around.
   const std::uint64_t frames_before = server.frames_served();
@@ -251,8 +302,9 @@ TEST(CachingBackend, CachedSessionSpendsFewerWireOpsOnReTouchingWork) {
     // Charge the cached run its deferred write-backs before counting, so
     // the comparison is end-to-end fair (same as bench_remote E13).
     session.client().device().drain();
-    if (CachingBackend* cb = session.client().device().cache_backend())
+    if (CachingBackend* cb = session.client().device().cache_backend()) {
       ASSERT_TRUE(cb->flush().ok());
+    }
     frames[cached] = server.frames_served() - before;
   }
   EXPECT_EQ(values[0], values[1]) << "the cache changed ORAM results";
@@ -304,20 +356,18 @@ TEST(CachingBackend, SplitPhaseMissesGainResidencyAtCompletion) {
   ASSERT_TRUE(cache_owner->complete_oldest().ok());
   EXPECT_EQ(cache->cached_blocks(), 6u);
 
-  // Guard: a block whose write-around frame is still in flight must NOT be
-  // granted residency by a read completion behind it (the cached copy would
-  // go stale when the around-frame lands).
-  const std::vector<std::uint64_t> around = {4};
+  // A begun write of uncached 4, then a begun read of it: the write takes
+  // one of the two free slots, so the read hits it at begin.  (With no free
+  // slot the write goes around, and a read completion behind it must NOT
+  // grant residency -- WriteAroundInFlightDeniesResidency.)
+  const std::vector<std::uint64_t> four = {4};
   std::vector<Word> wdata(kBw, 55);
-  ASSERT_TRUE(cache_owner->begin_write_many(around, wdata).ok());
+  ASSERT_TRUE(cache_owner->begin_write_many(four, wdata).ok());
   std::vector<Word> readback(kBw, 0);
-  ASSERT_TRUE(cache_owner->begin_read_many(around, readback).ok());
-  ASSERT_TRUE(cache_owner->complete_oldest().ok());  // the write-around
+  ASSERT_TRUE(cache_owner->begin_read_many(four, readback).ok());
+  ASSERT_TRUE(cache_owner->complete_oldest().ok());  // the write
   ASSERT_TRUE(cache_owner->complete_oldest().ok());  // the read
   EXPECT_EQ(readback, wdata) << "FIFO: the read began after the write";
-  // FIFO completed the write first, so the guard is not reached here
-  // (WriteAroundInFlightDeniesResidency reaches it) -- but residency, if
-  // granted, must hold the POST-write bytes.
   std::vector<Word> again(kBw, 0);
   ASSERT_TRUE(cache_owner->read(4, again).ok());
   EXPECT_EQ(again, wdata);
@@ -326,25 +376,156 @@ TEST(CachingBackend, SplitPhaseMissesGainResidencyAtCompletion) {
 TEST(CachingBackend, WriteAroundInFlightDeniesResidency) {
   // A read miss of b is begun, then a write-around of b: the read's bytes
   // predate the write, so its completion must not cache them -- the copy
-  // would be stale the moment the write lands below.
-  CacheRig rig(8);
-  ASSERT_TRUE(rig.backend->resize(8).ok());
+  // would be stale the moment the write lands below.  Four clean residents
+  // fill the cache first, so the write finds no free slot and goes around.
+  CacheRig rig(4);
+  ASSERT_TRUE(rig.backend->resize(16).ok());
+  const std::vector<std::uint64_t> fill = {8, 9, 10, 11};
+  std::vector<Word> fill_out(fill.size() * kBw);
+  ASSERT_TRUE(rig.backend->read_many(fill, fill_out).ok());
   ASSERT_TRUE(rig.counter->inner().write(3, rig.block(11)).ok());
   const std::vector<std::uint64_t> ids = {3};
   std::vector<Word> out(kBw, 0);
   ASSERT_TRUE(rig.backend->begin_read_many(ids, out).ok());
   const std::vector<Word> fresh = rig.block(22);
+  const std::uint64_t ops = rig.counter->ops();
   ASSERT_TRUE(rig.backend->begin_write_many(ids, fresh).ok());  // 3 is uncached
+  ASSERT_EQ(rig.counter->ops(), ops + 1) << "the write did not go around";
 
   ASSERT_TRUE(rig.backend->complete_oldest().ok());  // the read
   EXPECT_EQ(out, rig.block(11)) << "the read began before the write";
-  EXPECT_EQ(rig.cache->cached_blocks(), 0u)
+  EXPECT_EQ(rig.cache->stats().evictions, 0u)
       << "a block with a write-around in flight gained residency";
+  EXPECT_EQ(rig.cache->cached_blocks(), 4u);
 
   ASSERT_TRUE(rig.backend->complete_oldest().ok());  // the write-around
   std::vector<Word> again(kBw, 0);
   ASSERT_TRUE(rig.backend->read(3, again).ok());
   EXPECT_EQ(again, fresh);
+}
+
+// ---------------------------------------------------------------------------
+// Write-allocate: a begun write's uncached blocks take free slots (private
+// core only) and are written around only once none is left.
+
+/// `ids.size()` blocks of distinct contents, salted by position.
+std::vector<Word> salted(const std::vector<std::uint64_t>& ids, Word salt) {
+  std::vector<Word> in;
+  for (std::size_t i = 0; i < ids.size(); ++i) in.insert(in.end(), kBw, salt + i);
+  return in;
+}
+
+TEST(CachingBackend, BegunWriteTakesFreeSlotsWithoutInnerIo) {
+  CacheRig rig(8);
+  ASSERT_TRUE(rig.backend->resize(16).ok());
+  const std::vector<std::uint64_t> ids = {3, 4, 9};
+  const std::vector<Word> in = salted(ids, 50);
+  ASSERT_TRUE(rig.backend->begin_write_many(ids, in).ok());
+  ASSERT_TRUE(rig.backend->complete_oldest().ok());
+  EXPECT_EQ(rig.counter->ops(), 0u) << "a write into free slots reached the inner store";
+  EXPECT_EQ(rig.cache->cached_blocks(), 3u);
+  EXPECT_EQ(rig.cache->stats().absorbed_writes, 3u);
+
+  // Read back through the cache: all hits, still no inner op.
+  std::vector<Word> out(in.size(), 0);
+  ASSERT_TRUE(rig.backend->read_many(ids, out).ok());
+  EXPECT_EQ(out, in);
+  EXPECT_EQ(rig.cache->stats().hits, 3u);
+  EXPECT_EQ(rig.counter->ops(), 0u);
+
+  // The blocks are dirty: the store below reads zero until flush() writes
+  // all three back in one frame.
+  std::vector<Word> raw(kBw, 1);
+  ASSERT_TRUE(rig.counter->inner().read(9, raw).ok());
+  EXPECT_EQ(raw, std::vector<Word>(kBw, 0));
+  ASSERT_TRUE(rig.cache->flush().ok());
+  EXPECT_EQ(rig.counter->ops(), 1u);
+  EXPECT_EQ(rig.cache->stats().writebacks, 3u);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_TRUE(rig.counter->inner().read(ids[i], raw).ok());
+    EXPECT_EQ(raw, std::vector<Word>(kBw, 50 + i)) << "block " << ids[i];
+  }
+}
+
+TEST(CachingBackend, BegunWriteWithAFullCacheGoesAroundWithoutEvicting) {
+  // Four dirty residents fill the cache: evicting one would cost a
+  // write-back.  The begun write absorbs its one cached block and sends the
+  // two uncached ones around in one frame -- no eviction, no write-back.
+  CacheRig rig(4);
+  ASSERT_TRUE(rig.backend->resize(16).ok());
+  for (std::uint64_t b = 0; b < 4; ++b)
+    ASSERT_TRUE(rig.backend->write(b, rig.block(b)).ok());
+  const CacheStats before = rig.cache->stats();
+  const std::vector<std::uint64_t> ids = {2, 8, 12};
+  const std::vector<Word> in = salted(ids, 60);
+  ASSERT_TRUE(rig.backend->begin_write_many(ids, in).ok());
+  ASSERT_TRUE(rig.backend->complete_oldest().ok());
+  EXPECT_EQ(rig.counter->ops(), 1u) << "one write-around frame";
+  EXPECT_EQ(rig.cache->stats().absorbed_writes, before.absorbed_writes + 1);
+  EXPECT_EQ(rig.cache->stats().evictions, before.evictions);
+  EXPECT_EQ(rig.cache->stats().writebacks, before.writebacks);
+  EXPECT_EQ(rig.cache->cached_blocks(), 4u);
+  std::vector<Word> raw(kBw);
+  ASSERT_TRUE(rig.counter->inner().read(12, raw).ok());
+  EXPECT_EQ(raw, std::vector<Word>(kBw, 62));
+  ASSERT_TRUE(rig.counter->inner().read(2, raw).ok());
+  EXPECT_EQ(raw, std::vector<Word>(kBw, 0)) << "the cached block was written around";
+}
+
+TEST(CachingBackend, BegunWriteWithARepeatedIdKeepsTheLastWrite) {
+  // Block 5 twice in one batch, with a free slot for every id (8) and with
+  // one slot only (1): the first uncached id takes it, and a repeat follows
+  // its first occurrence -- into the cache or around -- so the batch's last
+  // bytes for each id win both in the cache and below it, and no id is
+  // lost between the two.
+  for (std::size_t cap : {8, 1}) {
+    for (const std::vector<std::uint64_t>& ids :
+         {std::vector<std::uint64_t>{5, 7, 5}, std::vector<std::uint64_t>{7, 5, 5},
+          std::vector<std::uint64_t>{5, 5, 7}}) {
+      SCOPED_TRACE("capacity " + std::to_string(cap) + ", ids " + std::to_string(ids[0]) +
+                   std::to_string(ids[1]) + std::to_string(ids[2]));
+      CacheRig rig(cap);
+      ASSERT_TRUE(rig.backend->resize(16).ok());
+      const std::vector<Word> in = salted(ids, 70);
+      ASSERT_TRUE(rig.backend->begin_write_many(ids, in).ok());
+      ASSERT_TRUE(rig.backend->complete_oldest().ok());
+      auto last = [&ids](std::uint64_t b) {
+        Word salt = 0;
+        for (std::size_t i = 0; i < ids.size(); ++i)
+          if (ids[i] == b) salt = 70 + i;
+        return std::vector<Word>(kBw, salt);
+      };
+      std::vector<Word> out(kBw);
+      for (std::uint64_t b : {5, 7}) {
+        ASSERT_TRUE(rig.backend->read(b, out).ok());
+        EXPECT_EQ(out, last(b)) << "block " << b << " through the cache";
+      }
+      ASSERT_TRUE(rig.cache->flush().ok());
+      for (std::uint64_t b : {5, 7}) {
+        ASSERT_TRUE(rig.counter->inner().read(b, out).ok());
+        EXPECT_EQ(out, last(b)) << "block " << b << " below the cache";
+      }
+    }
+  }
+}
+
+TEST(CachingBackend, SharedCoreBegunWriteStillGoesAround) {
+  // A shared core never write-allocates: another view's in-flight frames
+  // make its dirty blocks ineligible victims, so free slots filled with
+  // begun writes could leave a session with nothing to evict.
+  auto core = make_shared_cache(8);
+  CachingBackend a(test::counted_mem()(kBw), core);
+  auto* a_ops = dynamic_cast<FaultyBackend*>(&a.inner());
+  ASSERT_TRUE(a.resize(8).ok());
+  const std::vector<std::uint64_t> ids = {1, 2};
+  const std::vector<Word> in = salted(ids, 80);
+  ASSERT_TRUE(a.begin_write_many(ids, in).ok());
+  ASSERT_TRUE(a.complete_oldest().ok());
+  EXPECT_EQ(a_ops->ops(), 1u) << "one write-around frame";
+  EXPECT_EQ(core->cached_blocks(), 0u);
+  std::vector<Word> raw(kBw);
+  ASSERT_TRUE(a_ops->inner().read(2, raw).ok());
+  EXPECT_EQ(raw, std::vector<Word>(kBw, 81));
 }
 
 /// Begins and completes one read of uncached `block` through the split-phase
@@ -698,7 +879,8 @@ using Blk = std::vector<Word>;
 /// The cache's decisions, spelled out the slow way: segments are lists of
 /// keys, and every victim search walks them from the cold end.  Inner stores
 /// are mem (begun frames apply at begin, in order), one per view.  The
-/// readahead rule is restated from the CachingBackend class comment.
+/// readahead and write-allocate rules are restated from the CachingBackend
+/// class comment.
 class RefCache {
  public:
   struct Op {
@@ -715,9 +897,12 @@ class RefCache {
     CacheStats st;
     std::vector<std::uint64_t> streams;  // last block per stream, most recent first
   };
-  RefCache(std::size_t cap, CachePolicy policy, int views, std::size_t nblocks)
+  /// `private_core`: the views write-allocate begun writes (cache(blocks));
+  /// views of a shared core write around.
+  RefCache(std::size_t cap, CachePolicy policy, int views, std::size_t nblocks,
+           bool private_core)
       : cap_(cap), prot_cap_(std::max<std::size_t>(1, cap * 3 / 4)),
-        lru_(policy == CachePolicy::kLru), v_(views) {
+        lru_(policy == CachePolicy::kLru), write_allocate_(private_core), v_(views) {
     for (View& w : v_) w.store.assign(nblocks, Blk(kBw, 0));
   }
   View& view(int v) { return v_[v]; }
@@ -743,11 +928,21 @@ class RefCache {
   void begin_write(int v, const std::vector<std::uint64_t>& ids, const std::vector<Blk>& in) {
     View& w = v_[v];
     Op op;
+    // Write-allocate: the first distinct uncached ids take the free slots;
+    // every occurrence of an allocated id is absorbed, the rest go around.
+    std::set<std::uint64_t> alloc;
+    const std::size_t free = write_allocate_ ? cap_ - ents_.size() : 0;
+    for (std::uint64_t b : ids)
+      if (find(v, b) == nullptr && alloc.size() < free) alloc.insert(b);
     for (std::size_t i = 0; i < ids.size(); ++i) {
       if (Ent* e = find(v, ids[i])) {
         e->data = in[i];
         e->dirty = true;
         touch(key(v, ids[i]));
+        ++op.credit.absorbed_writes;
+      } else if (alloc.count(ids[i]) != 0) {
+        Ent& fresh = insert(v, ids[i], in[i]);  // probation front, no touch
+        fresh.dirty = true;
         ++op.credit.absorbed_writes;
       } else {
         op.around.push_back(ids[i]);
@@ -976,6 +1171,7 @@ class RefCache {
 
   const std::size_t cap_, prot_cap_;
   const bool lru_;
+  const bool write_allocate_;
   std::vector<View> v_;
   std::map<std::uint64_t, Ent> ents_;
   std::list<std::uint64_t> prob_, prot_;  // front = hot
@@ -1004,7 +1200,7 @@ void run_differential(std::uint64_t seed, int views, CachePolicy policy,
   SCOPED_TRACE("seed " + std::to_string(seed) + ", views " + std::to_string(views) +
                ", capacity " + std::to_string(kCap));
   rng::Xoshiro rng(seed);
-  RefCache ref(kCap, policy, views, kBlocks);
+  RefCache ref(kCap, policy, views, kBlocks, /*private_core=*/views == 1);
   SharedCacheHandle core = make_shared_cache(kCap, policy);
   std::vector<std::unique_ptr<StorageBackend>> be;
   for (int v = 0; v < views; ++v) {

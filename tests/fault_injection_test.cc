@@ -340,7 +340,9 @@ TEST(FaultConformance, NoLeakedArenaBlocksAfterFailure) {
     const std::uint64_t baseline = session.arena_blocks();
 
     auto rep = session.sort(*data, /*seed=*/5);
-    if (!rep.ok()) EXPECT_EQ(rep.status().code(), StatusCode::kIo);
+    if (!rep.ok()) {
+      EXPECT_EQ(rep.status().code(), StatusCode::kIo);
+    }
     session.compact_arena();
     EXPECT_EQ(session.arena_blocks(), baseline)
         << "seed " << seed << (rep.ok() ? " (completed)" : " (failed)")

@@ -131,8 +131,8 @@ TEST(ShardedBackend, DuplicateIdsInOneBatchKeepSequentialSemantics) {
 
 /// A split-phase store over mem for dispatch tests.  Every op is applied at
 /// begin; begins and completions are logged as "b<tag>" / "c<tag>".  While
-/// `hold_writes` is set, a write waits inside begin; `lose_next_read` loses
-/// the next read response (its completion fails kIo).
+/// `hold_writes` (`hold_reads`) is set, a write (read) waits inside begin;
+/// `lose_next_read` loses the next read response (its completion fails kIo).
 class SplitFake : public StorageBackend {
  public:
   SplitFake(std::size_t block_words, std::string tag, std::vector<std::string>* log)
@@ -140,6 +140,7 @@ class SplitFake : public StorageBackend {
   const char* name() const override { return "split_fake"; }
 
   std::atomic<bool> hold_writes{false};
+  std::atomic<bool> hold_reads{false};
   std::atomic<bool> lose_next_read{false};
 
  protected:
@@ -153,6 +154,7 @@ class SplitFake : public StorageBackend {
   std::size_t do_max_inflight() const override { return 8; }
   Status do_begin_read_many(std::span<const std::uint64_t> blocks,
                             std::span<Word> out) override {
+    while (hold_reads.load()) std::this_thread::yield();
     note("b");
     pending_reads_.push_back(true);
     return mem_.read_many(blocks, out);
@@ -272,6 +274,39 @@ TEST(AsyncBackend, DroppedReadNeverReplaysPastALaterWrite) {
   std::vector<Word> out(kBw);
   ASSERT_TRUE(async.read(0, out).ok());
   EXPECT_EQ(out, (std::vector<Word>{104, 104}));
+}
+
+TEST(AsyncBackend, DroppedReadThroughTheCacheNeverReturnsALaterWrite) {
+  // The same drop-replay fixture with a private cache between the
+  // AsyncBackend and the store, where begun writes take free slots.  The
+  // first begun write lands in a free slot (no frame); the read of 0 misses
+  // and is held inside its begin until the later write of 0 is queued; its
+  // lost response is replayed through the cache, which must not serve the
+  // later write.
+  constexpr std::size_t kBw = 2;
+  auto fake_owner = std::make_unique<SplitFake>(kBw, "", nullptr);
+  SplitFake* fake = fake_owner.get();
+  AsyncBackend async(std::make_unique<CachingBackend>(std::move(fake_owner), 4));
+  async.set_retry_attempts(4);
+  ASSERT_TRUE(async.resize(2).ok());
+  ASSERT_TRUE(fake->write(0, std::vector<Word>{100, 100}).ok());  // below the cache
+  fake->hold_reads = true;
+  fake->lose_next_read = true;
+  async.submit_write_many({1}, {1, 1});
+  std::vector<Word> r(kBw);
+  const AsyncBackend::Ticket t = async.submit_read_many(std::vector<std::uint64_t>{0}, r);
+  async.submit_write_many({0}, {104, 104});
+  fake->hold_reads = false;
+  ASSERT_TRUE(async.wait(t).ok());
+  EXPECT_EQ(r, (std::vector<Word>{100, 100})) << "read 0 saw a later write";
+  ASSERT_TRUE(async.drain().ok());
+  std::vector<Word> out(kBw);
+  ASSERT_TRUE(async.read(0, out).ok());
+  EXPECT_EQ(out, (std::vector<Word>{104, 104}));
+  ASSERT_TRUE(async.read(1, out).ok());
+  EXPECT_EQ(out, (std::vector<Word>{1, 1}));
+  ASSERT_TRUE(fake->read(1, out).ok());
+  EXPECT_EQ(out, (std::vector<Word>{0, 0})) << "the begun write of 1 did not take a free slot";
 }
 
 // ---------------------------------------------------------------------------
@@ -463,8 +498,9 @@ void expect_trace_invariant(const char* what, std::uint64_t n_records, AlgoFn&& 
            "into Bob's view";
     EXPECT_EQ(run.result, ref.result) << what << ": " << ec.name;
     // The cache rows prove the invariance with the readahead active.
-    if (ec.cache_blocks > 0 || ec.shared_cache)
+    if (ec.cache_blocks > 0 || ec.shared_cache) {
       EXPECT_GT(run.readahead_blocks, 0u) << what << ": " << ec.name << " never read ahead";
+    }
   }
 }
 

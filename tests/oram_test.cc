@@ -108,7 +108,9 @@ TEST(SqrtOram, ReshuffleScratchIsReclaimedBetweenEpochs) {
       for (std::uint64_t i = 0; i < oram.epoch_length(); ++i) {
         const std::uint64_t idx = g.below(1024);
         const std::uint64_t got = oram.access(idx);
-        if (oram.status().ok()) EXPECT_EQ(got, oram.expected_value(idx));
+        if (oram.status().ok()) {
+          EXPECT_EQ(got, oram.expected_value(idx));
+        }
       }
       client.device().trim();
       EXPECT_EQ(client.device().num_blocks(), flat)
