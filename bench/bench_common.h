@@ -75,13 +75,11 @@ inline std::uint64_t& global_crash_at_frames() {
 
 /// The process-wide loopback RemoteServer behind --remote; started on first
 /// use, lives for the whole bench run (its stores persist across Clients).
-inline RemoteServer* global_remote_server(BackendFactory store_factory = nullptr,
-                                          std::uint64_t response_delay_ns = 0) {
+inline RemoteServer* global_remote_server(BackendFactory store_factory = nullptr) {
   static std::unique_ptr<RemoteServer> server;
   if (!server) {
     RemoteServerOptions opts;
     opts.store_factory = std::move(store_factory);
-    opts.response_delay_ns = response_delay_ns;
     server = std::make_unique<RemoteServer>(std::move(opts));
     if (!server->health().ok()) {
       std::fprintf(stderr, "--remote: %s\n", server->health().ToString().c_str());
@@ -171,10 +169,8 @@ inline BackendFactory backend_from_flags(const Flags& flags,
   // --remote serves the chosen base store from an in-process loopback
   // RemoteServer (one per bench run; per-shard store namespaces) and talks
   // to it through RemoteBackend connections, so every bench can put its
-  // workload behind a real TCP round trip.  --remote-rtt-us adds simulated
-  // propagation delay per response (the pipelined wire still streams).
+  // workload behind a real TCP round trip.
   const bool remote = flags.get_bool("remote", false);
-  const std::uint64_t remote_rtt_us = flags.get_u64("remote-rtt-us", 0);
   // Robustness flags (PR 10): durable freshness state, per-frame wire
   // deadlines, armed crash injection -- with the usual strict validation.
   global_state_path() = flags.get("state-path", "");
@@ -279,8 +275,7 @@ inline BackendFactory backend_from_flags(const Flags& flags,
     // The server keeps the (mem or file) store; the client stack sees a
     // RemoteBackend per shard.  Store ids namespace by geometry too, so one
     // server survives a bench that runs several block sizes.
-    RemoteServer* server =
-        global_remote_server(std::move(base), remote_rtt_us * 1000);
+    RemoteServer* server = global_remote_server(std::move(base));
     const std::string host = server->host();
     const std::uint16_t port = server->port();
     base = nullptr;

@@ -8,10 +8,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#ifdef __linux__
-#include <sys/prctl.h>
-#endif
-
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
@@ -262,11 +258,6 @@ Result<RemoteServer::Store*> RemoteServer::bind_store(std::uint64_t store_id,
 // Worker loop.
 
 void RemoteServer::worker_loop(Worker& w) {
-#ifdef __linux__
-  // Default timer slack rounds short ppoll timeouts up by ~50us; that skew
-  // would land on every simulated response delay.  1us keeps them honest.
-  ::prctl(PR_SET_TIMERSLACK, 1000, 0, 0, 0);
-#endif
   std::vector<pollfd> pfds;
   std::vector<Conn*> polled;
   bool draining = false;
@@ -288,21 +279,17 @@ void RemoteServer::worker_loop(Worker& w) {
     if (!draining && stop_.load(std::memory_order_acquire)) {
       // Graceful drain: every fully-received frame was already dispatched
       // (dispatch happens as frames arrive), so all that remains is pushing
-      // queued responses out.  Remaining simulated propagation delay is
-      // waived -- shutdown must not hang clients for response_delay_ns per
-      // queued frame -- and a bounded deadline keeps a wedged peer from
+      // queued responses out; a bounded deadline keeps a wedged peer from
       // holding the process open.
       draining = true;
       drain_deadline = Clock::now() + std::chrono::seconds(2);
-      for (auto& c : w.conns)
-        for (OutFrame& f : c->out) f.due = Clock::time_point{};
     }
 
     auto now = Clock::now();
 
-    // Push due responses; a send error retires the connection.
+    // Push queued responses; a send error retires the connection.
     for (auto& c : w.conns)
-      if (!c->dead && !flush_out(*c, now)) c->dead = true;
+      if (!c->dead && !flush_out(*c)) c->dead = true;
 
     // Idle eviction (PINGs and any other frame reset last_activity).
     if (opts_.idle_timeout_ms > 0 && !draining) {
@@ -345,9 +332,9 @@ void RemoteServer::worker_loop(Worker& w) {
     }
 
     // Build the poll set: the wake pipe, every live socket for input (unless
-    // draining), and for output while a due response is still queued.  The
-    // timeout lands on the nearest deadline: a response coming due, an idle
-    // eviction, or a coarse housekeeping tick.
+    // draining), and for output while a response is still queued.  The
+    // timeout lands on the nearest deadline: an idle eviction or a coarse
+    // housekeeping tick.
     now = Clock::now();
     auto wake_at = now + (draining ? std::chrono::milliseconds(2)
                                    : std::chrono::milliseconds(100));
@@ -357,12 +344,7 @@ void RemoteServer::worker_loop(Worker& w) {
     polled.push_back(nullptr);
     for (auto& c : w.conns) {
       short ev = draining ? 0 : POLLIN;
-      if (!c->out.empty()) {
-        if (c->out.front().due <= now)
-          ev |= POLLOUT;
-        else if (c->out.front().due < wake_at)
-          wake_at = c->out.front().due;
-      }
+      if (!c->out.empty()) ev |= POLLOUT;
       if (opts_.idle_timeout_ms > 0 && !draining) {
         const auto deadline =
             c->last_activity + std::chrono::milliseconds(opts_.idle_timeout_ms);
@@ -400,7 +382,7 @@ constexpr std::size_t kRecvChunk = 64 * 1024;
 /// An idle connection gives back a receive buffer grown past this (a huge
 /// frame passed through); smaller ones stay for the next frame.
 constexpr std::size_t kKeepRecvBytes = 1u << 20;
-/// Due responses gathered into one sendmsg.
+/// Queued responses gathered into one sendmsg.
 constexpr std::size_t kMaxIov = 64;
 
 std::uint8_t* bytes_of(Word* w) { return reinterpret_cast<std::uint8_t*>(w); }
@@ -506,20 +488,12 @@ RemoteServer::OutFrame RemoteServer::ok_frame(std::initializer_list<std::uint64_
   return f;
 }
 
-void RemoteServer::enqueue_response(Conn& c, OutFrame f) {
-  if (opts_.response_delay_ns > 0)
-    f.due = Clock::now() + std::chrono::nanoseconds(opts_.response_delay_ns);
-  c.out.push_back(std::move(f));
-}
-
-bool RemoteServer::flush_out(Conn& c, Clock::time_point now) {
+bool RemoteServer::flush_out(Conn& c) {
   iovec iov[kMaxIov];
-  while (!c.out.empty() && c.out.front().due <= now) {
-    // Every due frame (up to kMaxIov) leaves in one sendmsg; FIFO order
-    // stops the gather at the first frame still waiting out its delay.
+  while (!c.out.empty()) {
+    // Every queued frame (up to kMaxIov) leaves in one sendmsg.
     std::size_t n = 0;
-    for (auto it = c.out.begin(); it != c.out.end() && n < kMaxIov && it->due <= now;
-         ++it, ++n)
+    for (auto it = c.out.begin(); it != c.out.end() && n < kMaxIov; ++it, ++n)
       iov[n] = {bytes_of(it->words.get()) + it->sent, it->bytes - it->sent};
     msghdr msg{};
     msg.msg_iov = iov;
@@ -564,10 +538,10 @@ bool RemoteServer::handle_frame(Conn& c, const Word* p, std::size_t n) {
     if (!fields(2)) return false;  // malformed: drop the connection
     const std::uint64_t version = p[1];
     if (version != wire::kProtocolVersion) {
-      enqueue_response(c, status_frame(Status::InvalidArgument(
-                              "HELLO: protocol version " + std::to_string(version) +
-                              " unsupported, server speaks " +
-                              std::to_string(wire::kProtocolVersion))));
+      c.out.push_back(status_frame(Status::InvalidArgument(
+                          "HELLO: protocol version " + std::to_string(version) +
+                          " unsupported, server speaks " +
+                          std::to_string(wire::kProtocolVersion))));
       return true;
     }
     if (!fields(5)) return false;  // malformed: drop the connection
@@ -577,14 +551,14 @@ bool RemoteServer::handle_frame(Conn& c, const Word* p, std::size_t n) {
     const std::uint64_t tag = p[5];
     if (tag != wire::control_mac(opts_.auth_key, wire::kMacHelloReq,
                                  {version, store_id, block_words, token})) {
-      enqueue_response(c, status_frame(Status::Integrity(
-                              "HELLO authentication failed: wrong wire auth key, or a "
-                              "spoofed handshake")));
+      c.out.push_back(status_frame(Status::Integrity(
+                          "HELLO authentication failed: wrong wire auth key, or a "
+                          "spoofed handshake")));
       return true;
     }
     auto bound = bind_store(store_id, block_words);
     if (!bound.ok()) {
-      enqueue_response(c, status_frame(bound.status()));
+      c.out.push_back(status_frame(bound.status()));
       return true;
     }
     c.store = *bound;
@@ -593,10 +567,10 @@ bool RemoteServer::handle_frame(Conn& c, const Word* p, std::size_t n) {
       std::lock_guard<std::mutex> lk(c.store->mu);
       num_blocks = c.store->backend->num_blocks();
     }
-    enqueue_response(c, ok_frame({wire::kProtocolVersion, num_blocks,
-                                  wire::control_mac(opts_.auth_key, wire::kMacHelloResp,
-                                                    {token, wire::kProtocolVersion,
-                                                     num_blocks})}));
+    c.out.push_back(ok_frame({wire::kProtocolVersion, num_blocks,
+                              wire::control_mac(opts_.auth_key, wire::kMacHelloResp,
+                                                {token, wire::kProtocolVersion,
+                                                 num_blocks})}));
   } else if (op == wire::Op::kPing) {
     // Connection-level keep-alive: legal before HELLO, echoes the token.
     // Authenticated both ways since v3, so an attacker can neither forge
@@ -604,14 +578,14 @@ bool RemoteServer::handle_frame(Conn& c, const Word* p, std::size_t n) {
     if (!fields(2)) return false;
     const std::uint64_t token = p[1];
     if (p[2] != wire::control_mac(opts_.auth_key, wire::kMacPingReq, {token})) {
-      enqueue_response(c, status_frame(Status::Integrity("PING authentication failed")));
+      c.out.push_back(status_frame(Status::Integrity("PING authentication failed")));
     } else {
       pings_.fetch_add(1, std::memory_order_relaxed);
-      enqueue_response(
-          c, ok_frame({token, wire::control_mac(opts_.auth_key, wire::kMacPingResp, {token})}));
+      c.out.push_back(
+          ok_frame({token, wire::control_mac(opts_.auth_key, wire::kMacPingResp, {token})}));
     }
   } else if (c.store == nullptr) {
-    enqueue_response(c, status_frame(Status::InvalidArgument("data op before HELLO")));
+    c.out.push_back(status_frame(Status::InvalidArgument("data op before HELLO")));
   } else if (op == wire::Op::kReadMany || op == wire::Op::kWriteMany) {
     if (!fields(1)) return false;
     const std::uint64_t count = p[1];
@@ -627,10 +601,6 @@ bool RemoteServer::handle_frame(Conn& c, const Word* p, std::size_t n) {
     const std::size_t k = static_cast<std::size_t>(count);
     const std::size_t data_words = op == wire::Op::kWriteMany ? k * bw : 0;
     if (n != 2 + k + data_words) return false;
-    // Simulated service time: the worker is OCCUPIED for the duration, so
-    // capacity scales with the worker pool, not with the connection count.
-    if (opts_.service_delay_ns > 0)
-      std::this_thread::sleep_for(std::chrono::nanoseconds(opts_.service_delay_ns));
     // ids and the write payload are used where they sit in the receive
     // buffer; a read fills its response frame's payload in place.
     const std::span<const std::uint64_t> ids(p + 2, k);
@@ -639,10 +609,10 @@ bool RemoteServer::handle_frame(Conn& c, const Word* p, std::size_t n) {
       OutFrame f = response_frame(StatusCode::kOk, k * bw * sizeof(Word));
       const Status st =
           c.store->backend->read_many(ids, std::span<Word>(f.words.get() + 2, k * bw));
-      enqueue_response(c, st.ok() ? std::move(f) : status_frame(st));
+      c.out.push_back(st.ok() ? std::move(f) : status_frame(st));
     } else {
-      enqueue_response(c, status_frame(c.store->backend->write_many(
-                              ids, std::span<const Word>(p + 2 + k, data_words))));
+      c.out.push_back(status_frame(c.store->backend->write_many(
+                          ids, std::span<const Word>(p + 2 + k, data_words))));
     }
   } else if (op == wire::Op::kResize) {
     if (!fields(1)) return false;
@@ -655,14 +625,14 @@ bool RemoteServer::handle_frame(Conn& c, const Word* p, std::size_t n) {
     } catch (const std::exception& e) {
       st = Status::Io(std::string("RESIZE failed: ") + e.what());
     }
-    enqueue_response(c, status_frame(st));
+    c.out.push_back(status_frame(st));
   } else if (op == wire::Op::kStat) {
     std::lock_guard<std::mutex> lk(c.store->mu);
-    enqueue_response(c, ok_frame({c.store->backend->num_blocks(),
-                                  c.store->backend->block_words()}));
+    c.out.push_back(ok_frame({c.store->backend->num_blocks(),
+                              c.store->backend->block_words()}));
   } else {
-    enqueue_response(c, status_frame(Status::InvalidArgument(
-                            "unknown op " + std::to_string(p[0]))));
+    c.out.push_back(status_frame(Status::InvalidArgument(
+                        "unknown op " + std::to_string(p[0]))));
   }
   return true;
 }

@@ -23,22 +23,13 @@
 // store serialize on that store's mutex only for the duration of the
 // backend call.
 //
-// Time model (both knobs compose):
-//   * response_delay_ns -- propagation delay: a finished response is held
-//     this long before hitting the wire WITHOUT blocking later frames, so a
-//     pipelined client still streams.
-//   * service_delay_ns  -- service time: each data frame (READ_MANY /
-//     WRITE_MANY) occupies its worker this long at dispatch.  Workers model
-//     server capacity: with one worker, service times serialize across all
-//     clients; with N workers they overlap.
-//
 // Lifecycle: PING keep-alives reset a connection's idle clock; with
 // idle_timeout_ms > 0, a connection silent for longer is evicted (the
 // client's next op fails kIo and its reconnect builds a fresh session).
 // shutdown() -- also run by the destructor and by oem-server on
 // SIGINT/SIGTERM -- stops accepting, lets workers finish dispatching every
-// fully-received frame, flushes queued responses (waiving any remaining
-// simulated delay), closes connections, then flushes every store.
+// fully-received frame, flushes queued responses, closes connections, then
+// flushes every store.
 #pragma once
 
 #include <atomic>
@@ -72,17 +63,6 @@ struct RemoteServerOptions {
   std::function<std::unique_ptr<StorageBackend>(std::uint64_t store_id,
                                                 std::size_t block_words)>
       store_factory_by_id;
-  /// Simulated one-way wire latency: every response frame is held this long
-  /// before it is written back, WITHOUT blocking the processing of later
-  /// frames on the connection -- propagation delay, not service time.  A
-  /// pipelined client therefore still streams requests; only a client that
-  /// waits out each round trip pays it per frame.  0 = respond immediately.
-  std::uint64_t response_delay_ns = 0;
-  /// Simulated service time: each READ_MANY/WRITE_MANY dispatch occupies its
-  /// worker thread this long.  Unlike response_delay_ns this DOES serialize
-  /// behind a busy worker -- it is the knob that makes worker-pool scaling
-  /// measurable on any core count.  0 = dispatch at full speed.
-  std::uint64_t service_delay_ns = 0;
   /// Worker threads multiplexing connections.  0 = hardware concurrency;
   /// 1 = serial (every connection served by one loop).
   std::size_t worker_threads = 0;
@@ -135,10 +115,10 @@ class RemoteServer {
   }
 
   /// Graceful stop (idempotent; the destructor runs it too): stop accepting,
-  /// dispatch every fully-received frame, flush queued responses (remaining
-  /// simulated delay waived), close connections, join all threads, flush
-  /// every store.  Returns the first store-flush error, so a service exits
-  /// non-zero when durable state could not be written back.
+  /// dispatch every fully-received frame, flush queued responses, close
+  /// connections, join all threads, flush every store.  Returns the first
+  /// store-flush error, so a service exits non-zero when durable state could
+  /// not be written back.
   Status shutdown();
 
   /// Test hook: hard-close every live connection (a network partition).
@@ -168,10 +148,9 @@ class RemoteServer {
 
   /// One response waiting to go out: the whole wire frame
   /// `[len][status][payload]`, Word-typed so READ_MANY fills its payload in
-  /// place; the time it becomes due (response_delay_ns); and how much of it
-  /// already left (a full socket buffer leaves a partial send to resume).
+  /// place, and how much of it already left (a full socket buffer leaves a
+  /// partial send to resume).
   struct OutFrame {
-    Clock::time_point due{};
     std::unique_ptr<Word[]> words;
     std::size_t bytes = 0;  // on the wire; an error text may end mid-word
     std::size_t sent = 0;
@@ -223,10 +202,9 @@ class RemoteServer {
   /// Status only (ok), or status + message (error).
   static OutFrame status_frame(const Status& st);
   static OutFrame ok_frame(std::initializer_list<std::uint64_t> fields);
-  void enqueue_response(Conn& c, OutFrame f);
-  /// Sends every due response until the socket would block, gathering them
+  /// Sends queued responses until the socket would block, gathering them
   /// into one sendmsg per round; false = error.
-  bool flush_out(Conn& c, Clock::time_point now);
+  static bool flush_out(Conn& c);
   Result<Store*> bind_store(std::uint64_t store_id, std::uint64_t block_words);
   Status flush_stores();
 

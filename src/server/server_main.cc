@@ -3,7 +3,6 @@
 //   oem-server [--host=127.0.0.1] [--port=0] [--backend=mem|file]
 //              [--file-path=PATH] [--shards=1] [--threads=0]
 //              [--engine=threads|uring] [--direct] [--shared-cache=BLOCKS]
-//              [--response-delay-ns=0] [--service-delay-ns=0]
 //              [--idle-timeout-ms=0] [--crash-at=frames:N] [--auth-key=U64]
 //
 // Prints "oem-server listening on HOST:PORT ..." on stdout once the socket
@@ -20,9 +19,7 @@
 // shards stripe only: a batch is begun on every shard before any completes,
 // which overlaps nothing on a blocking file store (it does with
 // --engine=uring).  --threads gives the parallelism: it picks the worker-pool
-// size (0 = hardware concurrency, 1 = serial -- the load bench's baseline).  The delay knobs mirror
-// RemoteServerOptions: response-delay is propagation (never blocks later
-// frames), service-delay occupies a worker per data frame.
+// size (0 = hardware concurrency, 1 = serial -- the load bench's baseline).
 //
 // --crash-at=frames:N arms crash injection: the process _exits abruptly
 // (exit code 42, no flush, no cleanup) at the top of dispatching the N-th
@@ -73,8 +70,6 @@ int main(int argc, char** argv) {
   const std::string engine = flags.get("engine", "");
   const bool direct = flags.get_bool("direct", false);
   const std::size_t shared_cache_blocks = flags.get_u64("shared-cache", 0);
-  const std::uint64_t response_delay_ns = flags.get_u64("response-delay-ns", 0);
-  const std::uint64_t service_delay_ns = flags.get_u64("service-delay-ns", 0);
   const std::uint64_t idle_timeout_ms = flags.get_u64("idle-timeout-ms", 0);
   const std::string crash_at = flags.get("crash-at", "");
   const std::uint64_t auth_key = flags.get_u64("auth-key", 0);
@@ -130,8 +125,6 @@ int main(int argc, char** argv) {
   oem::RemoteServerOptions opts;
   opts.host = host;
   opts.port = port;
-  opts.response_delay_ns = response_delay_ns;
-  opts.service_delay_ns = service_delay_ns;
   opts.worker_threads = threads;
   opts.idle_timeout_ms = idle_timeout_ms;
   opts.crash_at_frames = crash_at_frames;

@@ -9,8 +9,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -197,10 +201,12 @@ TEST(RemoteBackend, PipelinesMultipleFramesInFlight) {
 }
 
 TEST(RemoteBackend, TransportDeathFailsAllOutstandingThenRecovers) {
-  // Responses are held 50ms server-side, so the drop is guaranteed to beat
-  // them: BOTH outstanding ops must fail out, in order.
+  // The store holds the first read (the second queues behind it), so the
+  // drop is guaranteed to beat both responses: BOTH outstanding ops must
+  // fail out, in order.
+  auto gate = std::make_shared<test::Gate>();
   RemoteServerOptions sopts;
-  sopts.response_delay_ns = 50'000'000;
+  sopts.store_factory = test::gated_mem(gate);
   RemoteServer server(sopts);
   RemoteBackendOptions opts;
   opts.port = server.port();
@@ -212,9 +218,11 @@ TEST(RemoteBackend, TransportDeathFailsAllOutstandingThenRecovers) {
   const std::vector<std::uint64_t> one = {1};
   ASSERT_TRUE(backend.begin_read_many(one, r1).ok());
   ASSERT_TRUE(backend.begin_read_many(one, r2).ok());
+  ASSERT_TRUE(gate->await_arrivals(1)) << "the first read never reached the store";
   server.drop_connections();
   EXPECT_EQ(backend.complete_oldest().code(), StatusCode::kIo);
   EXPECT_EQ(backend.complete_oldest().code(), StatusCode::kIo);
+  gate->open();
   // With everything failed out, a fresh synchronous op reconnects.
   ASSERT_TRUE(backend.read_many(one, r3).ok());
   EXPECT_GE(backend.reconnects(), 1u);
@@ -245,6 +253,145 @@ TEST(AsyncRemote, SubmittedOpsPipelineAndReplayAfterDrop) {
   for (std::uint64_t i = 0; i < 16; ++i)
     EXPECT_EQ(reads[i][0], 100 + i) << "read " << i << " saw a stale write";
   EXPECT_GE(async->retries(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Depth: AsyncBackend over sharded(S) of RemoteBackend(max_inflight = d)
+// keeps d frames on every shard's connection at once.
+
+/// Frames begun on each shard and not yet completed, with their high-water
+/// marks.  The I/O thread counts; the test waits on the counts.  Every begin
+/// first passes `plug`, which holds the I/O thread until the test has queued
+/// all its reads: an I/O thread that found its queue empty mid-window would
+/// wait out the oldest frame instead of beginning the next.
+struct BegunFrames {
+  explicit BegunFrames(std::size_t shards) : now(shards), high(shards) {}
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::size_t> now, high;
+  test::Gate plug;
+};
+
+/// Forwards every call to one shard's backend and counts its begun frames.
+class BegunProbe : public StorageBackend {
+ public:
+  BegunProbe(std::unique_ptr<StorageBackend> inner, std::shared_ptr<BegunFrames> frames,
+             std::size_t shard)
+      : StorageBackend(inner->block_words()), inner_(std::move(inner)),
+        frames_(std::move(frames)), shard_(shard) {}
+  const char* name() const override { return "begun_probe"; }
+  Status health() const override { return inner_->health(); }
+
+ protected:
+  using Ids = std::span<const std::uint64_t>;
+  Status do_resize(std::uint64_t n) override { return inner_->resize(n); }
+  Status do_read(std::uint64_t b, std::span<Word> out) override {
+    return inner_->read(b, out);
+  }
+  Status do_write(std::uint64_t b, std::span<const Word> in) override {
+    return inner_->write(b, in);
+  }
+  Status do_read_many(Ids ids, std::span<Word> out) override {
+    return inner_->read_many(ids, out);
+  }
+  Status do_write_many(Ids ids, std::span<const Word> in) override {
+    return inner_->write_many(ids, in);
+  }
+  std::size_t do_max_inflight() const override { return inner_->max_inflight(); }
+  Status do_begin_read_many(Ids ids, std::span<Word> out) override {
+    frames_->plug.pass();
+    return begun(inner_->begin_read_many(ids, out));
+  }
+  Status do_begin_write_many(Ids ids, std::span<const Word> in) override {
+    frames_->plug.pass();
+    return begun(inner_->begin_write_many(ids, in));
+  }
+  Status do_complete_oldest() override {
+    Status st = inner_->complete_oldest();  // the frame leaves the wire here
+    std::lock_guard<std::mutex> lock(frames_->mu);
+    if (frames_->now[shard_] > 0) --frames_->now[shard_];
+    return st;
+  }
+
+ private:
+  Status begun(Status st) {
+    if (st.ok()) {
+      std::lock_guard<std::mutex> lock(frames_->mu);
+      const std::size_t now = ++frames_->now[shard_];
+      frames_->high[shard_] = std::max(frames_->high[shard_], now);
+      frames_->cv.notify_all();
+    }
+    return st;
+  }
+
+  std::unique_ptr<StorageBackend> inner_;
+  std::shared_ptr<BegunFrames> frames_;
+  std::size_t shard_;
+};
+
+TEST(RemoteDepth, ShardedAsyncKeepsDepthFramesOnEveryShard) {
+  constexpr std::size_t kShards = 4;
+  constexpr std::size_t kDepth = 4;
+  constexpr std::uint64_t kReads = 2 * kDepth;  // more than one window
+  constexpr std::uint64_t kBlocks = kReads * kShards;
+  auto gate = std::make_shared<test::Gate>();
+  gate->open();  // the seeding write passes
+  RemoteServerOptions so;
+  so.store_factory = test::gated_mem(gate);
+  RemoteServer server(so);
+  auto frames = std::make_shared<BegunFrames>(kShards);
+  frames->plug.open();
+  ShardFactory per_shard = [&server, frames](std::size_t bw, std::size_t shard)
+      -> std::unique_ptr<StorageBackend> {
+    RemoteBackendOptions o;
+    o.port = server.port();
+    o.store_id = shard;
+    o.max_inflight = kDepth;
+    return std::make_unique<BegunProbe>(remote_backend(o)(bw), frames, shard);
+  };
+  auto owner = async_backend(sharded_backend(std::move(per_shard), kShards))(kBw);
+  auto* async = dynamic_cast<AsyncBackend*>(owner.get());
+  ASSERT_NE(async, nullptr);
+  ASSERT_TRUE(owner->resize(kBlocks).ok());
+  std::vector<std::uint64_t> all(kBlocks);
+  std::vector<Word> image(kBlocks * kBw);
+  for (std::uint64_t b = 0; b < kBlocks; ++b) {
+    all[b] = b;
+    const auto w = pattern(b, 3);
+    std::copy(w.begin(), w.end(), image.begin() + b * kBw);
+  }
+  ASSERT_TRUE(owner->write_many(all, image).ok());
+  gate->close();
+  frames->plug.close();
+
+  // Read r covers blocks [r*S, (r+1)*S): one block on every shard.
+  std::vector<std::vector<Word>> reads(kReads, std::vector<Word>(kShards * kBw));
+  AsyncBackend::Ticket last = 0;
+  for (std::uint64_t r = 0; r < kReads; ++r) {
+    const auto ids = std::span<const std::uint64_t>(all).subspan(r * kShards, kShards);
+    last = async->submit_read_many(ids, reads[r]);
+  }
+  frames->plug.open();
+  {
+    // The store answers no read while the gate is shut, so every frame
+    // counted here was begun before the server answered any.
+    std::unique_lock<std::mutex> lock(frames->mu);
+    const bool full = frames->cv.wait_until(lock, gate->deadline(), [&] {
+      return std::all_of(frames->now.begin(), frames->now.end(),
+                         [](std::size_t n) { return n >= kDepth; });
+    });
+    EXPECT_TRUE(full) << "a shard never had " << kDepth << " frames on the wire at once";
+    for (std::size_t s = 0; s < kShards; ++s)
+      EXPECT_EQ(frames->high[s], kDepth) << "shard " << s;
+  }
+  gate->open();
+  ASSERT_TRUE(async->wait(last).ok());
+  for (std::uint64_t r = 0; r < kReads; ++r)
+    for (std::uint64_t s = 0; s < kShards; ++s) {
+      const auto got = reads[r].begin() + s * kBw;
+      EXPECT_EQ(std::vector<Word>(got, got + kBw), pattern(r * kShards + s, 3))
+          << "read " << r << " block " << s;
+    }
 }
 
 TEST(RemoteBackend, ErrorResponseLeavesDestinationUntouched) {

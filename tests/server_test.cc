@@ -9,7 +9,9 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -42,23 +44,24 @@ double ms_since(Clock::time_point t0) {
 }
 
 // ---------------------------------------------------------------------------
-// Worker pool: service time overlaps across connections.
+// Worker pool: connections are served at once.
 
-/// Runs `clients` concurrent one-read workloads (distinct stores) against a
-/// server charging `service_ms` per data frame; returns the wall time.  The
-/// sleeps make the scaling claim core-count independent: N workers sleep in
-/// parallel even on one hardware thread.
-double timed_parallel_reads(std::size_t worker_threads, std::size_t clients,
-                            std::uint64_t service_ms) {
+/// Connects `clients` RemoteBackends (distinct stores) to a server of
+/// `worker_threads` workers whose stores hold every read at a shut gate, and
+/// issues one read per client from its own thread.  The gate opens once as
+/// many reads as there are workers are inside the store; returns the most
+/// reads that were ever inside at once.
+std::size_t reads_inside_at_once(std::size_t worker_threads, std::size_t clients) {
+  auto gate = std::make_shared<test::Gate>();
   RemoteServerOptions so;
   so.worker_threads = worker_threads;
-  so.service_delay_ns = service_ms * 1'000'000;
+  so.store_factory = test::gated_mem(gate);
   RemoteServer server(so);
   EXPECT_TRUE(server.health().ok()) << server.health();
   EXPECT_EQ(server.worker_threads(), worker_threads);
 
-  // Connect + size every store up front (resize carges no service delay),
-  // so the timed region holds exactly one service-delayed frame per client.
+  // Connect + size every store up front (RESIZE is not held), so the gate
+  // sees exactly one read per client.
   std::vector<std::unique_ptr<RemoteBackend>> backends;
   for (std::size_t c = 0; c < clients; ++c) {
     RemoteBackendOptions opts;
@@ -67,7 +70,6 @@ double timed_parallel_reads(std::size_t worker_threads, std::size_t clients,
     backends.push_back(std::make_unique<RemoteBackend>(kBw, opts));
     EXPECT_TRUE(backends.back()->resize(4).ok());
   }
-  const auto t0 = Clock::now();
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
   for (std::size_t c = 0; c < clients; ++c)
@@ -75,22 +77,22 @@ double timed_parallel_reads(std::size_t worker_threads, std::size_t clients,
       std::vector<Word> out(kBw);
       if (!backends[c]->read(1, out).ok()) failures.fetch_add(1);
     });
+  EXPECT_TRUE(gate->await_arrivals(std::min(worker_threads, clients)))
+      << "only " << gate->max_inside() << " reads reached the store";
+  gate->open();
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-  return ms_since(t0);
+  return gate->max_inside();
 }
 
 TEST(ServerWorkerPool, ParallelWorkersOverlapServiceTime) {
-  // 4 clients x 100ms of service: a single worker serializes (>= 400ms), a
-  // 4-worker pool overlaps (~100ms).  Generous margins keep this stable on
-  // loaded CI hosts; the enforced gap is still the full 2x the load bench
-  // claims.
-  const double serial_ms = timed_parallel_reads(/*worker_threads=*/1, 4, 100);
-  const double pooled_ms = timed_parallel_reads(/*worker_threads=*/4, 4, 100);
-  EXPECT_GE(serial_ms, 380.0) << "serial worker must pay every service delay";
-  EXPECT_LE(pooled_ms, serial_ms / 2.0)
-      << "worker pool failed to overlap service time: serial " << serial_ms
-      << "ms vs pooled " << pooled_ms << "ms";
+  // One worker per connection: all four reads sit in the store at once.  A
+  // single worker serves one connection's frame at a time, so the other
+  // reads wait on the wire behind the held one.
+  EXPECT_EQ(reads_inside_at_once(/*worker_threads=*/4, 4), 4u)
+      << "the worker pool did not serve its connections at once";
+  EXPECT_EQ(reads_inside_at_once(/*worker_threads=*/1, 4), 1u)
+      << "a serial server had two reads in the store at once";
 }
 
 // ---------------------------------------------------------------------------
@@ -413,48 +415,72 @@ TEST(ServerWire, MalformedRequestsDropTheConnectionOnly) {
 // ---------------------------------------------------------------------------
 // Graceful shutdown.
 
-/// MemBackend that records whether flush() reached it.
-class FlushProbe : public MemBackend {
+/// GatedMem that records whether flush() reached it.
+class FlushProbe : public test::GatedMem {
  public:
-  FlushProbe(std::size_t bw, std::atomic<int>* flushes)
-      : MemBackend(bw), flushes_(flushes) {}
+  FlushProbe(std::size_t bw, std::shared_ptr<test::Gate> gate, std::atomic<int>* flushes)
+      : GatedMem(bw, std::move(gate)), flushes_(flushes) {}
   Status flush() override {
     flushes_->fetch_add(1);
-    return MemBackend::flush();
+    return GatedMem::flush();
   }
 
  private:
   std::atomic<int>* flushes_;
 };
 
+/// True when a connect to the loopback `port` is refused: shutdown() has
+/// closed the listener.
+bool connect_refused(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const bool refused =
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 &&
+      errno == ECONNREFUSED;
+  ::close(fd);
+  return refused;
+}
+
 TEST(ServerShutdown, FlushesStoresAndPendingResponsesWithoutHanging) {
+  auto gate = std::make_shared<test::Gate>();
   std::atomic<int> flushes{0};
   RemoteServerOptions so;
   so.worker_threads = 2;
-  so.response_delay_ns = 40'000'000;  // 40ms: responses are queued, not sent
-  so.store_factory = [&flushes](std::size_t bw) -> std::unique_ptr<StorageBackend> {
-    return std::make_unique<FlushProbe>(bw, &flushes);
+  so.store_factory = [gate, &flushes](std::size_t bw) -> std::unique_ptr<StorageBackend> {
+    return std::make_unique<FlushProbe>(bw, gate, &flushes);
   };
   auto server = std::make_unique<RemoteServer>(so);
+  const std::uint16_t port = server->port();
   RemoteBackendOptions opts;
-  opts.port = server->port();
+  opts.port = port;
   RemoteBackend backend(kBw, opts);
   ASSERT_TRUE(backend.resize(4).ok());
 
-  // Put split-phase frames in flight, then shut down while their responses
-  // are still waiting out the simulated propagation delay.
+  // Two split-phase reads: the first is held inside the store and the
+  // second queued behind it when shutdown() starts.
   std::vector<Word> a(kBw), b(kBw);
   const std::uint64_t ids[1] = {1};
   ASSERT_TRUE(backend.begin_read_many(std::span<const std::uint64_t>(ids, 1), a).ok());
   ASSERT_TRUE(backend.begin_read_many(std::span<const std::uint64_t>(ids, 1), b).ok());
+  ASSERT_TRUE(gate->await_arrivals(1)) << "the first read never reached the store";
 
   const auto t0 = Clock::now();
-  EXPECT_TRUE(server->shutdown().ok());
-  // Frames dispatched before the shutdown complete (delay waived) or fail
-  // kIo -- but never wedge the client or the server.
+  Status shut;
+  std::thread stopper([&] { shut = server->shutdown(); });
+  // shutdown() closes the listener first; the held read goes on only then.
+  while (!connect_refused(port) && Clock::now() < gate->deadline())
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  gate->open();
+  stopper.join();
+  EXPECT_TRUE(shut.ok()) << shut;
+  // The held read was dispatched before the shutdown, so its response is
+  // flushed; the queued one completes or fails kIo.  Neither wedges.
   const Status s1 = backend.complete_oldest();
   const Status s2 = backend.complete_oldest();
-  EXPECT_TRUE(s1.ok() || s1.code() == StatusCode::kIo) << s1;
+  EXPECT_TRUE(s1.ok()) << s1;
   EXPECT_TRUE(s2.ok() || s2.code() == StatusCode::kIo) << s2;
   EXPECT_LT(ms_since(t0), 3000.0) << "shutdown must be bounded";
   EXPECT_GE(flushes.load(), 1) << "shutdown must flush every store";

@@ -2,9 +2,15 @@
 #pragma once
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <span>
 #include <vector>
 
+#include "extmem/backend.h"
 #include "extmem/client.h"
 #include "extmem/io_engine.h"
 #include "rng/random.h"
@@ -15,6 +21,103 @@ namespace oem::test {
 /// counts every data call (sync or begun) that reaches the store below.
 inline BackendFactory counted_mem() {
   return faulty_backend(mem_backend(), FaultProfile{});
+}
+
+/// A gate the test opens by hand.  Stores wait in pass() while it is shut;
+/// every wait on it -- theirs and the test's -- ends at one deadline fixed
+/// at construction, so a gate nobody opens fails the test instead of hanging
+/// it.  Open it before destroying a server whose stores wait on it: the
+/// server's shutdown joins the worker that is waiting.
+class Gate {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  explicit Gate(std::chrono::seconds bound = std::chrono::seconds(20))
+      : deadline_(Clock::now() + bound) {}
+
+  /// Store side: waits while the gate is shut.  False when the deadline
+  /// came first.
+  bool pass() {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++arrived_;
+    max_inside_ = std::max(max_inside_, ++inside_);
+    cv_.notify_all();
+    const bool opened = cv_.wait_until(lock, deadline_, [&] { return open_; });
+    --inside_;
+    return opened;
+  }
+
+  void open() { set(true); }
+  void close() { set(false); }
+
+  /// Test side: waits until `n` calls have reached pass() in all.  False
+  /// when the deadline came first.
+  bool await_arrivals(std::size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_until(lock, deadline_, [&] { return arrived_ >= n; });
+  }
+
+  /// The most calls that were inside pass() at once.
+  std::size_t max_inside() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return max_inside_;
+  }
+
+  Clock::time_point deadline() const { return deadline_; }
+
+ private:
+  void set(bool open) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = open;
+    }
+    cv_.notify_all();
+  }
+
+  const Clock::time_point deadline_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+  std::size_t arrived_ = 0;
+  std::size_t inside_ = 0;
+  std::size_t max_inside_ = 0;
+};
+
+/// MemBackend whose batched data ops -- the ones the server's READ_MANY and
+/// WRITE_MANY call -- wait at a Gate before they touch a block.  An op whose
+/// wait ran past the gate's deadline fails kTimeout, a code no test expects
+/// from a held store.
+class GatedMem : public MemBackend {
+ public:
+  GatedMem(std::size_t block_words, std::shared_ptr<Gate> gate)
+      : MemBackend(block_words), gate_(std::move(gate)) {}
+
+ protected:
+  using Ids = std::span<const std::uint64_t>;
+  Status do_read_many(Ids ids, std::span<Word> out) override {
+    OEM_RETURN_IF_ERROR(held());
+    return MemBackend::do_read_many(ids, out);
+  }
+  Status do_write_many(Ids ids, std::span<const Word> in) override {
+    OEM_RETURN_IF_ERROR(held());
+    return MemBackend::do_write_many(ids, in);
+  }
+
+ private:
+  Status held() {
+    return gate_->pass() ? Status::Ok() : Status::Timeout("test gate stayed shut");
+  }
+  std::shared_ptr<Gate> gate_;
+};
+
+/// A server store factory building GatedMem stores.  With
+/// `hold_construction` the factory itself first waits at the gate, so the
+/// HELLO that creates a store goes unanswered while the gate is shut.
+inline BackendFactory gated_mem(std::shared_ptr<Gate> gate, bool hold_construction = false) {
+  return [gate, hold_construction](std::size_t block_words) -> std::unique_ptr<StorageBackend> {
+    if (hold_construction) gate->pass();
+    return std::make_unique<GatedMem>(block_words, gate);
+  };
 }
 
 inline ClientParams params(std::size_t B, std::uint64_t M, std::uint64_t seed = 1) {
