@@ -19,13 +19,15 @@
 // --json=PATH writes the grid as a CI artifact (BENCH_remote.json).
 // E13 (below) is the striping x depth grid: ShardedBackend begins every batch
 // on all its shards before completing any and forwards the split-phase seam,
-// so striping and depth multiply.  A probe under each shard tracks
-// begun-but-incomplete frames; the exit code enforces the count no timing can
-// move: at sharded(4) a depth-1 run keeps >= 4 frames in flight across the
-// stripe.  It also enforces identical block I/Os across the grid, and that a
-// write-back cache (--cache-blocks) cuts >= 30% of the wire ops on a
-// re-touching ORAM-epoch workload at identical outputs.  E13's per-shard
-// high-water marks at depth > 1 and its wall-clock ratios are informational.
+// so striping and depth multiply; `depth` is also each shard's RemoteBackend
+// max_inflight, so it bounds the frames each shard carries.  A probe under
+// each shard tracks begun-but-incomplete frames; the exit code enforces the
+// count no timing can move: at sharded(4) a depth-1 run keeps >= 4 frames in
+// flight across the stripe.  It also enforces identical block I/Os across
+// the grid, and that a write-back cache (--cache-blocks) cuts >= 30% of the
+// wire ops on a re-touching ORAM-epoch workload at identical outputs.
+// E13's per-shard high-water marks at depth > 1 and its wall-clock ratios
+// are informational.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -152,13 +154,16 @@ bool run_sharded_grid(RemoteServer& server, std::uint64_t n_blocks,
     p.seed = 1;
     p.pipeline_depth = depth;
     const std::uint64_t ns = (*store_counter += 16);
-    ShardFactory per_shard = [&server, ns, gauge](std::size_t block_words,
-                                                  std::size_t shard)
+    ShardFactory per_shard = [&server, ns, depth, gauge](std::size_t block_words,
+                                                         std::size_t shard)
         -> std::unique_ptr<StorageBackend> {
       RemoteBackendOptions ropts;
       ropts.host = server.host();
       ropts.port = server.port();
       ropts.store_id = ns | shard;
+      // The AsyncBackend's window is the inner max_inflight(), so this is
+      // what bounds each shard's frames on the wire to `depth`.
+      ropts.max_inflight = depth;
       auto remote = remote_backend(ropts)(block_words);
       if (!gauge) return remote;
       return std::make_unique<InflightProbe>(std::move(remote), gauge, shard);

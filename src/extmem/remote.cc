@@ -37,6 +37,7 @@ void RemoteBackend::kill_connection(const std::string& why) const {
     ::close(fd_);
     fd_ = -1;
   }
+  corked_ = false;
   last_error_ = std::string("remote: connection to ") + opts_.host + ":" +
                 std::to_string(opts_.port) + " lost (" + why + ")";
   for (Pending& p : pending_) p.dead = true;
@@ -198,7 +199,7 @@ Status RemoteBackend::transport_error(wire::IoVerdict v, const char* what) const
 
 Status RemoteBackend::send_frame(wire::Op op, std::span<const std::uint64_t> fields,
                                  std::span<const std::uint64_t> ids,
-                                 std::span<const Word> payload) const {
+                                 std::span<const Word> payload, bool cork) const {
   // An oversized batch is a caller error, not a transport failure: refuse it
   // here (connection intact) instead of letting the server drop the
   // connection on an over-cap length prefix and burning the retry budget.
@@ -217,9 +218,12 @@ Status RemoteBackend::send_frame(wire::Op op, std::span<const std::uint64_t> fie
   head_.insert(head_.end(), ids.begin(), ids.end());
   iovec iov[2] = {{head_.data(), head_.size() * sizeof(std::uint64_t)},
                   {const_cast<Word*>(payload.data()), payload.size() * sizeof(Word)}};
-  const wire::IoVerdict v =
-      wire::send_all(fd_, iov, wire::frame_deadline(opts_.io_deadline_ms));
-  return v == wire::IoVerdict::kOk ? Status::Ok() : transport_error(v, "send");
+  const wire::IoVerdict v = wire::send_all(
+      fd_, iov, wire::frame_deadline(opts_.io_deadline_ms), cork ? MSG_MORE : 0);
+  if (v != wire::IoVerdict::kOk) return transport_error(v, "send");
+  corked_ = cork;
+  if (cork) corked_frames_.fetch_add(1, std::memory_order_relaxed);
+  return Status::Ok();
 }
 
 Status RemoteBackend::recv_response(std::span<Word> payload_dest) const {
@@ -329,7 +333,8 @@ Status RemoteBackend::do_begin_read_many(std::span<const std::uint64_t> blocks,
                                          std::span<Word> out) {
   OEM_RETURN_IF_ERROR(ensure_connected());
   const std::uint64_t count[1] = {blocks.size()};
-  OEM_RETURN_IF_ERROR(send_frame(wire::Op::kReadMany, count, blocks, {}));
+  OEM_RETURN_IF_ERROR(
+      send_frame(wire::Op::kReadMany, count, blocks, {}, /*cork=*/!pending_.empty()));
   pending_.push_back({/*is_write=*/false, /*dead=*/false, out.data(), out.size()});
   return Status::Ok();
 }
@@ -338,13 +343,21 @@ Status RemoteBackend::do_begin_write_many(std::span<const std::uint64_t> blocks,
                                           std::span<const Word> in) {
   OEM_RETURN_IF_ERROR(ensure_connected());
   const std::uint64_t count[1] = {blocks.size()};
-  OEM_RETURN_IF_ERROR(send_frame(wire::Op::kWriteMany, count, blocks, in));
+  OEM_RETURN_IF_ERROR(
+      send_frame(wire::Op::kWriteMany, count, blocks, in, /*cork=*/!pending_.empty()));
   pending_.push_back({/*is_write=*/true, /*dead=*/false, nullptr, 0});
   return Status::Ok();
 }
 
 Status RemoteBackend::do_complete_oldest() {
   if (pending_.empty()) return Status::Ok();
+  if (corked_) {
+    // Push before blocking: the response awaited here may already have
+    // arrived, and then no ACK is left to release the corked frames.
+    int one = 1;
+    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    corked_ = false;
+  }
   Pending p = pending_.front();
   pending_.pop_front();
   if (p.dead) return Status::Io(last_error_);

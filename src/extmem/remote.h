@@ -27,6 +27,15 @@
 // arguments) are preserved with any number of frames in flight -- this is
 // what lets a depth-K block pipeline hide the round trip instead of paying
 // it once per window.
+//
+// Corking: a data frame begun while its connection already has a frame in
+// flight is sent with MSG_MORE, so a burst costs the server one wake-up
+// instead of one per frame.  The in-flight frame's response carries the ACK
+// that releases the corked bytes, and do_complete_oldest pushes them
+// (TCP_NODELAY again, which flushes pending output) before it blocks on a
+// response.  A frame on an idle connection, every synchronous RPC and the
+// HELLO leave at once.  Frame bytes, order and count never change; only how
+// they group into TCP segments does.
 #pragma once
 
 #include <atomic>
@@ -87,6 +96,10 @@ class RemoteBackend : public StorageBackend {
   /// Request frames completed (one per round trip) and reconnects performed.
   std::uint64_t round_trips() const { return round_trips_.load(std::memory_order_relaxed); }
   std::uint64_t reconnects() const { return reconnects_.load(std::memory_order_relaxed); }
+  /// Data frames sent corked (MSG_MORE) behind a frame already in flight.
+  std::uint64_t corked_frames() const {
+    return corked_frames_.load(std::memory_order_relaxed);
+  }
   /// Backoff sleeps taken before reconnect attempts, and their total length;
   /// tests assert the ramp without timing the sleeps themselves.
   std::uint64_t backoff_waits() const { return backoff_waits_.load(std::memory_order_relaxed); }
@@ -134,16 +147,19 @@ class RemoteBackend : public StorageBackend {
   /// Records a failed connect attempt: grows the capped, jittered delay the
   /// next attempt must wait out.
   void note_connect_failure() const;
-  /// Close the socket and mark every outstanding request dead.
+  /// Close the socket, drop the cork state and mark every outstanding
+  /// request dead.
   void kill_connection(const std::string& why) const;
   /// Tears the connection down after a failed transfer: kTimeout for an
   /// expired deadline, kIo otherwise.
   Status transport_error(wire::IoVerdict v, const char* what) const;
   /// Sends `[len][op][fields...][ids...][payload]` with one gather call: the
   /// head is encoded into head_, the payload is sent from the caller's span.
+  /// `cork` sends it with MSG_MORE; an uncorked send pushes everything before
+  /// it too.
   Status send_frame(wire::Op op, std::span<const std::uint64_t> fields,
-                    std::span<const std::uint64_t> ids,
-                    std::span<const Word> payload) const;
+                    std::span<const std::uint64_t> ids, std::span<const Word> payload,
+                    bool cork = false) const;
   /// Receives one response frame; an ok response must carry exactly
   /// `payload_dest.size()` words, received straight into it.  An error
   /// response leaves the destination untouched.
@@ -159,6 +175,7 @@ class RemoteBackend : public StorageBackend {
   mutable bool was_connected_ = false;
   mutable std::string last_error_;
   mutable std::deque<Pending> pending_;
+  mutable bool corked_ = false;  // a corked frame went out since the last push
   mutable std::vector<std::uint64_t> head_;  // request head under construction
   // Reconnect backoff state (mutable: health() const probes the connection).
   mutable unsigned connect_failures_ = 0;
@@ -167,6 +184,7 @@ class RemoteBackend : public StorageBackend {
   mutable std::uint64_t hello_token_ = 0;  // fresh per handshake (anti-replay)
   mutable std::atomic<std::uint64_t> round_trips_{0};
   mutable std::atomic<std::uint64_t> reconnects_{0};
+  mutable std::atomic<std::uint64_t> corked_frames_{0};
   mutable std::atomic<std::uint64_t> backoff_waits_{0};
   mutable std::atomic<std::uint64_t> backoff_waited_us_{0};
 };

@@ -77,16 +77,17 @@ IoVerdict transfer(int fd, short events, Clock::time_point deadline,
 
 }  // namespace
 
-IoVerdict send_all(int fd, std::span<iovec> iov, Clock::time_point deadline) {
+IoVerdict send_all(int fd, std::span<iovec> iov, Clock::time_point deadline,
+                   int flags) {
   std::size_t left = 0;
   for (const iovec& v : iov) left += v.iov_len;
   std::size_t i = 0;
-  return transfer(fd, POLLOUT, deadline, left, [&](int flags) -> ssize_t {
+  return transfer(fd, POLLOUT, deadline, left, [&](int mode) -> ssize_t {
     while (iov[i].iov_len == 0) ++i;  // left > 0, so a non-empty entry remains
     msghdr msg{};
     msg.msg_iov = &iov[i];
     msg.msg_iovlen = iov.size() - i;
-    const ssize_t put = ::sendmsg(fd, &msg, flags | MSG_NOSIGNAL);
+    const ssize_t put = ::sendmsg(fd, &msg, mode | flags | MSG_NOSIGNAL);
     // Consume what went out: whole entries first, then a partial head.
     for (std::size_t n = put > 0 ? static_cast<std::size_t>(put) : 0; n > 0;) {
       const std::size_t take = n < iov[i].iov_len ? n : iov[i].iov_len;

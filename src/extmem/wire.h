@@ -88,8 +88,10 @@ Clock::time_point frame_deadline(std::uint64_t deadline_ms);
 /// round (a frame that fits the socket buffer leaves in ONE call).  Consumes
 /// `iov` in place as bytes go out.  Sends use MSG_NOSIGNAL, so a peer that
 /// vanished yields kClosed, not SIGPIPE.  With a deadline, a round that would
-/// block polls for the remaining time instead.
-IoVerdict send_all(int fd, std::span<iovec> iov, Clock::time_point deadline);
+/// block polls for the remaining time instead.  `flags` are OR-ed into every
+/// sendmsg (MSG_MORE corks the frame: see RemoteBackend).
+IoVerdict send_all(int fd, std::span<iovec> iov, Clock::time_point deadline,
+                   int flags = 0);
 /// Receives exactly `len` bytes into `dst` (EOF before that is kClosed).
 IoVerdict recv_all(int fd, void* dst, std::size_t len, Clock::time_point deadline);
 

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -423,23 +424,47 @@ TEST(RemoteBackend, ErrorResponseLeavesDestinationUntouched) {
   EXPECT_EQ(reader.reconnects(), 0u);
 }
 
-TEST(RemoteBackend, DataFramesAreByteIdenticalToTheV3Encoding) {
-  // A fake server records the raw bytes of the client's data frames.  The
-  // vectored send (head buffer + the caller's payload span) must produce
-  // exactly the frames put_u64 + payload build, byte for byte.
-  const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(lfd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  ASSERT_EQ(::listen(lfd, 1), 0);
-  socklen_t alen = sizeof(addr);
-  ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &alen), 0);
+/// A one-connection stand-in for oem-server.  It answers the HELLO, then
+/// records the raw bytes of every later frame and answers each in turn until
+/// the client hangs up: READ_MANY with the words 0, 1, 2, ... (count x kBw of
+/// them), every other op with a bare ok.
+class FakeServer {
+ public:
+  FakeServer() {
+    lfd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t alen = sizeof(addr);
+    if (lfd_ < 0 || ::bind(lfd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+        ::listen(lfd_, 1) != 0 ||
+        ::getsockname(lfd_, reinterpret_cast<sockaddr*>(&addr), &alen) != 0)
+      return;
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this] { serve(); });
+  }
+  ~FakeServer() {
+    if (lfd_ >= 0) ::shutdown(lfd_, SHUT_RDWR);  // wakes an accept nobody reached
+    if (thread_.joinable()) thread_.join();
+    if (lfd_ >= 0) ::close(lfd_);
+  }
+  /// 0 when the listening socket could not be set up.
+  std::uint16_t port() const { return port_; }
+  /// Waits until `n` frames after the HELLO have been answered; false when
+  /// 10 s pass first.
+  bool await_answered(std::size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10), [&] { return answered_ >= n; });
+  }
+  /// Every frame after the HELLO, as received.  Call once the client is gone.
+  std::vector<std::uint8_t> raw() {
+    if (thread_.joinable()) thread_.join();
+    return raw_;
+  }
 
-  std::vector<std::uint8_t> raw;  // every frame after HELLO, as received
-  std::thread fake([lfd, &raw] {
-    const int cfd = ::accept(lfd, nullptr, nullptr);
+ private:
+  void serve() {
+    const int cfd = ::accept(lfd_, nullptr, nullptr);
     if (cfd < 0) return;
     std::vector<std::uint8_t> hello;
     if (wire::read_frame(cfd, &hello) && hello.size() >= 48) {
@@ -450,36 +475,61 @@ TEST(RemoteBackend, DataFramesAreByteIdenticalToTheV3Encoding) {
       wire::put_u64(ok, wire::control_mac(0, wire::kMacHelloResp,
                                           {token, wire::kProtocolVersion, 0}));
       wire::write_frame(cfd, ok);
-      // RESIZE, WRITE_MANY, READ_MANY: record each, answer it.
-      for (int i = 0; i < 3; ++i) {
+      for (;;) {
         std::uint64_t len = 0;
-        if (!wire::read_full(cfd, &len, sizeof(len))) break;
+        if (!wire::read_full(cfd, &len, sizeof(len)) || len < 16) break;
         std::vector<std::uint8_t> body(len);
         if (!wire::read_full(cfd, body.data(), len)) break;
-        wire::put_u64(raw, len);
-        raw.insert(raw.end(), body.begin(), body.end());
+        wire::put_u64(raw_, len);
+        raw_.insert(raw_.end(), body.begin(), body.end());
         auto resp = wire::make_response(Status::Ok());
-        if (i == 2)
-          for (std::size_t w = 0; w < 2 * kBw; ++w) wire::put_u64(resp, w);
-        wire::write_frame(cfd, resp);
+        if (wire::get_u64(body.data()) == static_cast<std::uint64_t>(wire::Op::kReadMany))
+          for (std::size_t w = 0; w < wire::get_u64(body.data() + 8) * kBw; ++w)
+            wire::put_u64(resp, w);
+        if (!wire::write_frame(cfd, resp)) break;
+        std::lock_guard<std::mutex> lock(mu_);
+        ++answered_;
+        cv_.notify_all();
       }
     }
     ::close(cfd);
-  });
+  }
 
-  RemoteBackendOptions opts;
-  opts.port = ntohs(addr.sin_port);
-  RemoteBackend backend(kBw, opts);
-  ASSERT_TRUE(backend.resize(8).ok());
+  int lfd_ = -1;
+  std::uint16_t port_ = 0;
+  std::thread thread_;
+  std::vector<std::uint8_t> raw_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t answered_ = 0;
+};
+
+TEST(RemoteBackend, DataFramesAreByteIdenticalToTheV3Encoding) {
+  // The fake server records the raw bytes of the client's data frames.  The
+  // vectored send (head buffer + the caller's payload span) must produce
+  // exactly the frames put_u64 + payload build, byte for byte -- also when a
+  // pipelined burst goes out corked.
+  FakeServer fake;
+  ASSERT_NE(fake.port(), 0);
   std::vector<Word> payload = pattern(4, 1);
   for (Word w : pattern(1, 2)) payload.push_back(w);
-  const std::vector<std::uint64_t> ids = {4, 1};
-  ASSERT_TRUE(backend.write_many(ids, payload).ok());
-  std::vector<Word> got(2 * kBw);
-  ASSERT_TRUE(backend.read_many(std::vector<std::uint64_t>{7, 0}, got).ok());
-  fake.join();
-  ::close(lfd);
-  for (std::size_t w = 0; w < got.size(); ++w) EXPECT_EQ(got[w], w);
+  const std::vector<std::uint64_t> ids = {4, 1}, read_ids = {7, 0};
+  {
+    RemoteBackendOptions opts;
+    opts.port = fake.port();
+    RemoteBackend backend(kBw, opts);
+    ASSERT_TRUE(backend.resize(8).ok());
+    ASSERT_TRUE(backend.write_many(ids, payload).ok());
+    std::vector<Word> got(2 * kBw), burst(2 * kBw);
+    ASSERT_TRUE(backend.read_many(read_ids, got).ok());
+    for (std::size_t w = 0; w < got.size(); ++w) EXPECT_EQ(got[w], w);
+    ASSERT_TRUE(backend.begin_write_many(ids, payload).ok());
+    ASSERT_TRUE(backend.begin_read_many(read_ids, burst).ok());
+    EXPECT_EQ(backend.corked_frames(), 1u);
+    ASSERT_TRUE(backend.complete_oldest().ok());
+    ASSERT_TRUE(backend.complete_oldest().ok());
+    EXPECT_EQ(burst, got);
+  }
 
   std::vector<std::uint8_t> want;
   auto frame = [&](std::vector<std::uint64_t> words) {
@@ -490,9 +540,102 @@ TEST(RemoteBackend, DataFramesAreByteIdenticalToTheV3Encoding) {
   std::vector<std::uint64_t> write = {static_cast<std::uint64_t>(wire::Op::kWriteMany), 2,
                                       4, 1};
   write.insert(write.end(), payload.begin(), payload.end());
-  frame(write);
-  frame({static_cast<std::uint64_t>(wire::Op::kReadMany), 2, 7, 0});
-  EXPECT_EQ(raw, want);
+  const std::vector<std::uint64_t> read = {
+      static_cast<std::uint64_t>(wire::Op::kReadMany), 2, 7, 0};
+  for (int pass = 0; pass < 2; ++pass) {  // synchronous, then the corked burst
+    frame(write);
+    frame(read);
+  }
+  EXPECT_EQ(fake.raw(), want);
+}
+
+// ---------------------------------------------------------------------------
+// Corking: a data frame begun behind one in flight goes out with MSG_MORE,
+// and the connection is pushed before any blocking receive.
+
+TEST(RemoteCork, SynchronousOpsLeaveAtOnce) {
+  // Every synchronous op finds its connection idle, so none may cork: a
+  // corked frame on an idle connection has no ACK coming to release it.
+  RemoteServer server;
+  RemoteBackendOptions opts;
+  opts.port = server.port();
+  opts.max_inflight = 8;
+  RemoteBackend backend(kBw, opts);
+  ASSERT_TRUE(backend.resize(8).ok());
+  ASSERT_TRUE(backend.write(3, pattern(3)).ok());
+  std::vector<Word> out(kBw), two(2 * kBw);
+  ASSERT_TRUE(backend.read(3, out).ok());
+  EXPECT_EQ(out, pattern(3));
+  ASSERT_TRUE(backend.read_many(std::vector<std::uint64_t>{3, 3}, two).ok());
+  ASSERT_TRUE(backend.ping().ok());
+  EXPECT_EQ(backend.corked_frames(), 0u);
+}
+
+TEST(RemoteCork, BurstCorksEveryFrameBehindTheFirst) {
+  RemoteServer server;
+  RemoteBackendOptions opts;
+  opts.port = server.port();
+  opts.max_inflight = 8;
+  RemoteBackend backend(kBw, opts);
+  ASSERT_TRUE(backend.resize(16).ok());
+  for (std::uint64_t b = 0; b < 4; ++b) ASSERT_TRUE(backend.write(b, pattern(b)).ok());
+  const std::uint64_t served = server.frames_served();
+
+  // Eight frames, four writes and four reads, begun before any completes.
+  // Frames 2-3 write block 9 and read it back; frames 4-6 overwrite block 0
+  // behind frame 1's read of it.
+  auto cat = [](std::vector<Word> a, const std::vector<Word>& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+  };
+  using Ids = std::vector<std::uint64_t>;
+  const std::vector<Word> w9 = pattern(9, 5), w0_10 = cat(pattern(0, 7), pattern(10, 7)),
+                          w2 = pattern(2, 9);
+  std::vector<Word> r01(2 * kBw), r9(kBw), r10(kBw), r0(kBw), r23(2 * kBw);
+  ASSERT_TRUE(backend.begin_read_many(Ids{0, 1}, r01).ok());
+  ASSERT_TRUE(backend.begin_write_many(Ids{9}, w9).ok());
+  ASSERT_TRUE(backend.begin_read_many(Ids{9}, r9).ok());
+  ASSERT_TRUE(backend.begin_write_many(Ids{0, 10}, w0_10).ok());
+  ASSERT_TRUE(backend.begin_read_many(Ids{10}, r10).ok());
+  ASSERT_TRUE(backend.begin_read_many(Ids{0}, r0).ok());
+  ASSERT_TRUE(backend.begin_write_many(Ids{2}, w2).ok());
+  ASSERT_TRUE(backend.begin_read_many(Ids{2, 3}, r23).ok());
+  EXPECT_EQ(backend.corked_frames(), 7u) << "the first frame leaves at once, the rest cork";
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(backend.complete_oldest().ok()) << i;
+  EXPECT_EQ(server.frames_served() - served, 8u) << "corking must not merge or drop frames";
+
+  EXPECT_EQ(r01, cat(pattern(0), pattern(1)));
+  EXPECT_EQ(r9, w9) << "a read corked behind a write of its block must see the write";
+  EXPECT_EQ(r10, pattern(10, 7));
+  EXPECT_EQ(r0, pattern(0, 7));
+  EXPECT_EQ(r23, cat(w2, pattern(3)));
+}
+
+TEST(RemoteCork, PushesCorkedFramesBeforeBlocking) {
+  // A is answered before B is begun, so B is corked behind a frame whose
+  // response (and ACK) already arrived: no ACK is left to release B.  Left
+  // corked, B would wait for the kernel's zero-window probe, which fires
+  // no sooner than TCP's 200 ms minimum RTO; the deadline sits below that,
+  // so only the client's push before it blocks on B's response gets B an
+  // answer in time.
+  FakeServer fake;
+  ASSERT_NE(fake.port(), 0);
+  RemoteBackendOptions opts;
+  opts.port = fake.port();
+  opts.max_inflight = 4;
+  opts.io_deadline_ms = 150;
+  RemoteBackend backend(kBw, opts);
+  ASSERT_TRUE(backend.resize(8).ok());
+  std::vector<Word> a(2 * kBw);
+  ASSERT_TRUE(backend.begin_read_many(std::vector<std::uint64_t>{7, 0}, a).ok());
+  ASSERT_TRUE(fake.await_answered(2)) << "the fake server never answered A";
+  const std::vector<Word> b = pattern(3, 1);
+  ASSERT_TRUE(backend.begin_write_many(std::vector<std::uint64_t>{3}, b).ok());
+  EXPECT_EQ(backend.corked_frames(), 1u);
+  ASSERT_TRUE(backend.complete_oldest().ok());
+  const Status st = backend.complete_oldest();
+  EXPECT_TRUE(st.ok()) << st;
+  for (std::size_t w = 0; w < a.size(); ++w) EXPECT_EQ(a[w], w);
 }
 
 // ---------------------------------------------------------------------------
